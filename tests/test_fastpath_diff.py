@@ -506,6 +506,155 @@ def test_mixed_family_matches_reference_full_matrix(spec):
 
 
 # ----------------------------------------------------------------------
+# RUU ablation flags
+# ----------------------------------------------------------------------
+#
+# The default specs above never switch the RUU's bypass off, order its
+# memory operations or duplicate its functional units, yet the explore
+# workload runs `ruu:W:S:fu=2` on half its candidates and the ablation
+# benchmarks flip the other two flags.  Each variant is built both
+# through the constructor and through the `ruu:<u>:<r>[:bus][:fu=k]`
+# registry grammar, and must agree with the reference on cycles, the
+# whole detail dict (tlm.* folded from the reference's events) and the
+# per-instruction schedule.  Tier-1 replays a subset of traces; nightly
+# the full trace x config matrix.
+
+from repro.core.buses import BusKind
+
+#: Constructor-built variants: each ablation flag alone and combined.
+RUU_ABLATION_MACHINES = {
+    "no-bypass": lambda: RUUMachine(2, 10, bypass=False),
+    "no-bypass:1bus": lambda: RUUMachine(
+        4, 50, BusKind.ONE_BUS, bypass=False
+    ),
+    "ordered-mem": lambda: RUUMachine(4, 50, ordered_memory=True),
+    "ordered-mem:1bus": lambda: RUUMachine(
+        2, 8, BusKind.ONE_BUS, ordered_memory=True
+    ),
+    "fu=2": lambda: RUUMachine(2, 50, fu_copies=2),
+    "fu=3:1bus": lambda: RUUMachine(8, 64, BusKind.ONE_BUS, fu_copies=3),
+    "all:w1": lambda: RUUMachine(
+        1, 4, BusKind.ONE_BUS, bypass=False, ordered_memory=True,
+        fu_copies=2,
+    ),
+    "all:w8": lambda: RUUMachine(
+        8, 32, bypass=False, ordered_memory=True, fu_copies=3
+    ),
+}
+
+#: The same flags through the registry grammar (explore's spelling).
+RUU_ABLATION_SPECS = (
+    "ruu:1:4:1bus",
+    "ruu:2:10:fu=2",
+    "ruu:3:16:fu=2:1bus",
+    "ruu:4:50:1bus:fu=2",
+    "ruu:5:12:nbus:fu=3",
+    "ruu:8:64:fu=2",
+)
+
+RUU_ABLATION_IDS = tuple(RUU_ABLATION_MACHINES) + RUU_ABLATION_SPECS
+
+
+def _ruu_ablation(name):
+    if name in RUU_ABLATION_MACHINES:
+        return RUU_ABLATION_MACHINES[name]()
+    return build_simulator(name)
+
+
+def _assert_ruu_matches_reference(simulator, trace, config, context):
+    """Cycles, detail (telemetry included) and schedule, one replay."""
+    fast = simulator.simulate(trace, config)
+    reference = simulator.reference_simulate(trace, config)
+    assert fast.cycles == reference.cycles, context
+    assert fast.instructions == reference.instructions, context
+    assert strip_telemetry(fast.detail) == dict(reference.detail or {}), (
+        context
+    )
+
+    schedule = []
+    recorded = fastpath.simulate_ruu_fast(simulator, trace, config, schedule)
+    assert recorded.cycles == fast.cycles, context
+    assert recorded.detail == fast.detail, context
+    collector = EventCollector()
+    observed = simulator.simulate_observed(trace, config, collector)
+    assert observed.cycles == reference.cycles, context
+    issues = collector.cycles_by_seq(EventKind.ISSUE)
+    completes = collector.cycles_by_seq(EventKind.COMPLETE)
+    expected = [
+        (
+            issues[entry.seq],
+            completes.get(
+                entry.seq, issues[entry.seq] + config.branch_latency
+            ),
+        )
+        for entry in trace.entries
+    ]
+    assert schedule == expected, context
+    assert SimTelemetry.from_detail(fast.detail) == telemetry_from_events(
+        collector.events,
+        trace=trace,
+        cycles=reference.cycles,
+        family="ruu",
+        issue_units=simulator.issue_units,
+    ), context
+
+
+def test_ruu_ablation_specs_parse_to_their_flags():
+    """The grammar really sets the flags the matrix claims to cover."""
+    assert build_simulator("ruu:2:10:fu=2").fu_copies == 2
+    one_bus = build_simulator("ruu:4:50:1bus:fu=2")
+    assert (one_bus.bus_kind, one_bus.fu_copies) == (BusKind.ONE_BUS, 2)
+    everything = RUU_ABLATION_MACHINES["all:w8"]()
+    assert not everything.bypass
+    assert everything.ordered_memory
+    assert everything.fu_copies == 3
+
+
+@pytest.mark.parametrize("name", RUU_ABLATION_IDS)
+def test_ruu_ablations_match_reference(name):
+    """Tier-1 subset: every third fuzz trace plus one seed per family."""
+    simulator = _ruu_ablation(name)
+    traces = list(TRACES[::3]) + _family_traces(FAMILY_SPECS, range(1))
+    for index, trace in enumerate(traces):
+        config = CONFIGS[index % len(CONFIGS)]
+        _assert_ruu_matches_reference(
+            simulator, trace, config, (name, trace.name, config.name)
+        )
+
+
+def test_ruu_ablation_sweep_matches_per_spec():
+    """One batch sweep over every variant (served by the counted RUU
+    fallback) returns the per-spec results, in item order."""
+    simulators = [_ruu_ablation(name) for name in RUU_ABLATION_IDS]
+    for seed in range(0, N_SEEDS, 25):
+        trace = TRACES[seed]
+        config = CONFIGS[seed % len(CONFIGS)]
+        swept = fastpath.simulate_sweep(
+            trace, [(simulator, config) for simulator in simulators]
+        )
+        for simulator, result in zip(simulators, swept):
+            single = simulator.simulate(trace, config)
+            assert result.simulator == simulator.name
+            assert (result.cycles, result.detail) == (
+                single.cycles, single.detail
+            ), (simulator.name, trace.name)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", RUU_ABLATION_IDS)
+def test_ruu_ablations_match_reference_full_matrix(name):
+    """Nightly: the whole fuzz pool and the family seed matrix, every
+    config."""
+    simulator = _ruu_ablation(name)
+    traces = list(TRACES) + _family_traces(FAMILY_SPECS, range(25))
+    for trace in traces:
+        for config in CONFIGS:
+            _assert_ruu_matches_reference(
+                simulator, trace, config, (name, trace.name, config.name)
+            )
+
+
+# ----------------------------------------------------------------------
 # Hook-presence dispatch
 # ----------------------------------------------------------------------
 
