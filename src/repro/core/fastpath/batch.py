@@ -19,11 +19,13 @@ the per-spec recurrence (latency tables, branch latency, bus wiring,
 result-bus modelling, chaining) stay per-spec inside a group, so e.g.
 ``cray``/``serialmemory``/``nonsegmented`` batch together and a
 four-config table row is always one group.  The RUU, Tomasulo and
-speculative machines keep their per-spec loops (per-cycle wakeup state
-and predictor replay do not share across configs profitably); sweep
-items for them are served by the ``python`` backend loops inside the
-same sweep call -- counted as ``fallback_runs`` -- sharing the single
-compiled trace.
+speculative machines keep their per-spec loops: their per-cycle wakeup
+state and predictor replay do not share across configs profitably.
+Sweep items for them are served by the ``python`` backend loops inside
+the same sweep call -- counted as ``fallback_runs`` -- sharing the
+single compiled trace; the RUU members also share its register-rename
+plan (``python_backend._ruu_plan``, built once per compiled trace and
+cached like the out-of-order plan below).
 
 For the out-of-order machine the shared analysis is the big win: the
 reference (and the per-spec fast loop) re-derives control and data

@@ -44,8 +44,9 @@ telemetry check).
 
 from __future__ import annotations
 
+import weakref
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ...obs.telemetry import SimTelemetry
 from ...obs.telemetry import collecting as telemetry_collecting
@@ -923,6 +924,118 @@ def simulate_tomasulo_fast(
 # RUU dependency resolution (Section 5.3)
 # ----------------------------------------------------------------------
 
+#: Availability of a result not yet dispatched: later than any cycle the
+#: loop can reach (it traps at ``_MAX_CYCLES``), so "not ready by cycle
+#: c" is the single test ``avail > c``.
+_NEVER = 1 << 62
+
+
+class _RUUPlan(NamedTuple):
+    """The register renaming of one trace, as :func:`_ruu_plan` builds
+    it; every per-seq field is indexed by trace position."""
+
+    #: functional-unit index per seq.
+    units: Tuple[int, ...]
+    #: per seq, the distinct seqs producing its source operands.  An
+    #: initial register value is always ready, so it is left out; an
+    #: operand read twice from one producer wakes at that producer's one
+    #: dispatch, so it is counted once.
+    sources: Tuple[Tuple[int, ...], ...]
+    #: per seq, the seqs whose ``sources`` name it, in program order.
+    consumers: Tuple[Sequence[int], ...]
+    #: per seq, ``None`` unless the op is a branch; for a branch, the
+    #: producer seq of the A0 instance a conditional branch tests, or -1
+    #: when it is ready from the start (initial A0, unconditional branch).
+    branch_a0: Tuple[Optional[int], ...]
+    #: the non-branch seqs in program order: the order entries enter and
+    #: retire from the RUU (branches never occupy a slot).
+    entries: Tuple[int, ...]
+    #: per functional unit, its non-branch seqs in program order (the
+    #: ordered-memory ablation's memory order; telemetry busy spans).
+    unit_entries: Tuple[Tuple[int, ...], ...]
+
+
+#: Rename plans keyed by ``id(compiled)``; the weak reference validates
+#: the key and evicts with the compiled trace, mirroring
+#: :data:`repro.core.fastpath.batch._OOO_PLANS`.
+_RUU_PLANS: Dict[int, Tuple["weakref.ref", _RUUPlan]] = {}
+
+
+def _ruu_plan(compiled) -> _RUUPlan:
+    """Resolve every RUU operand tag of *compiled* once.
+
+    The reference names operands by register *instance*, and which
+    instance an operand reads is fixed by program order alone: the one
+    the latest earlier non-branch writer of that register created.  So
+    the renaming is independent of the machine and the config, and one
+    plan serves every RUU run on the trace -- a whole sweep, and later
+    sweeps on the same compiled trace.  ``python.ruu_plan_builds`` and
+    ``python.ruu_plan_hits`` in :func:`~repro.core.fastpath.stats` count
+    the builds and the cache hits.
+    """
+    key = id(compiled)
+    hit = _RUU_PLANS.get(key)
+    if hit is not None and hit[0]() is compiled:
+        count_run("python", "ruu_plan_hits")
+        return hit[1]
+    count_run("python", "ruu_plan_builds")
+
+    ops = compiled.ops
+    n_entries = compiled.n
+    producer = [-1] * N_REGISTERS  # latest writer of each register
+    sources: List[Tuple[int, ...]] = [()] * n_entries
+    consumers: List[Sequence[int]] = [()] * n_entries
+    branch_a0: List[Optional[int]] = [None] * n_entries
+    entries: List[int] = []
+    unit_entries: List[List[int]] = [[] for _ in UNITS]
+    for seq, (unit, dest, srcs, is_branch, _t, _v, _vl, _b, is_cond) in (
+        enumerate(ops)
+    ):
+        if is_branch:  # no RUU entry, no register written
+            branch_a0[seq] = producer[_A0] if is_cond else -1
+            continue
+        entries.append(seq)
+        unit_entries[unit].append(seq)
+        operands: Tuple[int, ...] = ()
+        for src in srcs:
+            source = producer[src]
+            if source >= 0 and source not in operands:
+                operands += (source,)
+                readers = consumers[source]
+                if readers:
+                    readers.append(seq)
+                else:
+                    consumers[source] = [seq]
+        sources[seq] = operands
+        if dest >= 0:
+            producer[dest] = seq
+
+    plan = _RUUPlan(
+        tuple(op[0] for op in ops), tuple(sources), tuple(consumers),
+        tuple(branch_a0), tuple(entries), tuple(map(tuple, unit_entries)),
+    )
+
+    def _evict(_ref: object, _key: int = key) -> None:
+        _RUU_PLANS.pop(_key, None)
+
+    _RUU_PLANS[key] = (weakref.ref(compiled, _evict), plan)
+    return plan
+
+
+def _ruu_busy(unit_entries, issue_at, complete_at) -> Dict[str, int]:
+    """Per-unit busy cycles: each RUU entry is busy from issue to commit
+    -- the ISSUE..COMPLETE window of the reference events."""
+    busy: Dict[str, int] = {}
+    for unit, seqs in enumerate(unit_entries):
+        if seqs:
+            total = sum(map(complete_at.__getitem__, seqs)) - sum(
+                map(issue_at.__getitem__, seqs)
+            )
+            if total:
+                busy[_UNIT_NAMES[unit]] = total
+    return busy
+
+
 def simulate_ruu_fast(
     machine,
     trace: Trace,
@@ -931,14 +1044,25 @@ def simulate_ruu_fast(
 ) -> SimulationResult:
     """Fast twin of :meth:`RUUMachine.reference_simulate`.
 
-    RUU entries live in flat per-seq arrays with packed integer operand
-    tags; the commit / dispatch / issue phase order inside a cycle is the
+    Register renaming is config-independent, so it comes from the
+    trace's shared :func:`_ruu_plan`: an operand tag is its producer's
+    seq, and a run keeps only flat per-seq lists -- ``seq_avail``
+    (cycle each result is usable), pending-operand counts, ready and
+    result cycles.  Dispatching a producer wakes the consumers from the
+    plan's inverse map that have already issued; the RUU ring is the
+    plan's program-ordered entry list.  Entries whose operands arrive
+    in a later cycle wait in a heap of ``ready * (n + 1) + seq`` ints,
+    which order exactly like ``(ready, seq)`` pairs; entries ready now
+    wait in a seq-sorted pool, where a blocked one simply stays (the
+    reference re-pushes it for the next cycle).
+
+    The commit / dispatch / issue phase order inside a cycle is the
     reference's, and the outer loop jumps over idle cycles (crediting
     occupancy and stall statistics for the skipped span in closed form,
     so the ``detail`` dict stays bit-identical).  The next interesting
     cycle is the minimum of: the head entry's result return (commit),
-    the wakeup heap's root (dispatch), branch resolution, and a known
-    branch-operand availability (issue).
+    the heap's root or a pooled entry (dispatch), branch resolution,
+    and a known branch-operand availability (issue).
 
     Speculative runs (``predictor_factory``) keep the reference loop --
     prediction state and accuracy stats are not modelled here; the
@@ -950,6 +1074,9 @@ def simulate_ruu_fast(
 
         raise scalar_only_error(machine.name)
     count_run("python", "fast_runs")
+    (units, sources, consumers, branch_a0, entries,
+     unit_entries) = _ruu_plan(compiled)
+    memory_seqs = unit_entries[_MEMORY]
     table = config.latencies
     latencies = [table.latency(unit) for unit in UNITS]
     branch_latency = config.branch_latency
@@ -957,39 +1084,29 @@ def simulate_ruu_fast(
     issue_units = machine.issue_units
     ruu_size = machine.ruu_size
     bypass = machine.bypass
-    ordered_memory = machine.ordered_memory
     fu_copies = machine.fu_copies
 
-    ops = compiled.ops
     n_entries = compiled.n
-    n_regs = N_REGISTERS
     n_units = len(UNITS)
+    stride = n_entries + 1  # ready-heap key: ready * stride + seq
 
-    latest_instance = [0] * n_regs
-    tag_avail: Dict[int, int] = {}
-    waiting_on: Dict[int, List[int]] = {}
-
-    ent_unit = [0] * n_entries
-    ent_latency = [0] * n_entries
-    ent_dest = [-1] * n_entries
+    # Cycle each producer's result is usable (_NEVER until it
+    # dispatches); the extra last slot, which a branch's -1 (initial
+    # A0) producer indexes, is always ready.
+    seq_avail = [_NEVER] * n_entries + [0]
     ent_pending = [0] * n_entries
     ent_ready = [0] * n_entries
-    ent_result = [_UNKNOWN] * n_entries
-    ent_mem = [False] * n_entries
+    ent_result = [_NEVER] * n_entries
 
-    ring: List[int] = []  # program-ordered live entries (seqs)
-    head = 0
+    head = 0  # index into `entries` of the oldest live entry
     live = 0
-    ready_heap: List[Tuple[int, int]] = []
+    ready_heap: List[int] = []  # entries ready in a later cycle
+    pool: List[int] = []  # seqs ready now, oldest first
     ret_used: Dict[int, int] = {}  # FU->RUU return-path uses per cycle
     fu_cycle = [_UNKNOWN] * n_units
     fu_used = [0] * n_units
-
-    if ordered_memory:
-        memory_seqs = [
-            seq for seq, op in enumerate(ops) if op[0] == _MEMORY
-        ]
-        memory_index = 0
+    ordered_unit = _MEMORY if machine.ordered_memory else -1
+    memory_index = 0
 
     occupancy_sum = 0
     full_stall_cycles = 0
@@ -999,20 +1116,20 @@ def simulate_ruu_fast(
     issue_resume = 0
     cycle = 0
     last_commit = 0
-    tracking = record is not None
-    if tracking:
-        issue_at = [0] * n_entries
-        complete_at = [0] * n_entries
+    # Branches never commit; their resolution still bounds the
+    # machine's finish time.
+    last_resolve = 0
+    # The schedule: kept on every run, since the telemetry busy spans
+    # are summed from it after the loop.
+    issue_at = [0] * n_entries
+    complete_at = [0] * n_entries
     telemetry = telemetry_collecting()
     if telemetry:
         # Occupancy and issue-width counts share one flat histogram
         # indexed `live * stride + issued` -- a single list update per
         # simulated cycle, decomposed after the loop (both axes are
         # small: occupancy is bounded by the RUU size, per-cycle issues
-        # by the issue width).  Busy spans accumulate as
-        # `commit - issue` split into two signed updates, saving the
-        # per-seq issue-cycle array.
-        t_busy = [0] * n_units
+        # by the issue width).
         t_stride = issue_units + 1
         t_hist = [0] * ((ruu_size + 1) * t_stride)
 
@@ -1021,134 +1138,104 @@ def simulate_ruu_fast(
             raise RuntimeError("RUU simulation failed to make progress")
 
         # ---- commit: retire in order from the head -------------------
-        commits = 0
-        while live > 0 and commits < width:
-            seq = ring[head]
-            result = ent_result[seq]
-            if result == _UNKNOWN or result > cycle:
-                break
+        oldest = head
+        stop = head + (live if live < width else width)
+        while head < stop and ent_result[entries[head]] <= cycle:
+            complete_at[entries[head]] = cycle
             head += 1
-            live -= 1
-            commits += 1
-            if cycle > last_commit:
-                last_commit = cycle
-            if tracking:
-                complete_at[seq] = cycle
-            if telemetry:
-                # RUU entry occupied from issue to commit -- the
-                # ISSUE..COMPLETE window of the reference events (the
-                # issue cycle was subtracted at issue).
-                t_busy[ent_unit[seq]] += cycle
-        if head > 4096 and head * 2 > len(ring):
-            del ring[:head]
-            head = 0
+        if head > oldest:
+            live -= head - oldest
+            last_commit = cycle
 
         # ---- dispatch: oldest ready entries, up to the path width ----
-        eligible: List[Tuple[int, int]] = []
-        while ready_heap and ready_heap[0][0] <= cycle:
-            eligible.append(heappop(ready_heap))
-        if len(eligible) > 1:
-            eligible.sort(key=lambda item: item[1])  # oldest first
+        # A blocked entry stays in the pool, which is the reference's
+        # re-push at `cycle + 1`: the next cycle visited sees it again.
+        soon = cycle + 1
+        if ready_heap and ready_heap[0] < soon * stride:
+            limit = soon * stride
+            while ready_heap and ready_heap[0] < limit:
+                pool.append(heappop(ready_heap) % stride)
+            pool.sort()  # oldest first
         dispatches = 0
-        for ready_cycle, seq in eligible:
-            unit = ent_unit[seq]
-            blocked = dispatches >= width
-            if not blocked and fu_cycle[unit] == cycle:
-                blocked = fu_used[unit] >= fu_copies
-            if not blocked and ordered_memory and ent_mem[seq]:
-                blocked = seq != memory_seqs[memory_index]
-            if blocked:
-                heappush(ready_heap, (cycle + 1, seq))
+        index = 0
+        while index < len(pool) and dispatches < width:
+            seq = pool[index]
+            unit = units[seq]
+            if unit == ordered_unit and seq != memory_seqs[memory_index]:
+                index += 1
                 continue
-            dispatches += 1
             if fu_cycle[unit] == cycle:
+                if fu_used[unit] >= fu_copies:
+                    index += 1
+                    continue
                 fu_used[unit] += 1
             else:
                 fu_cycle[unit] = cycle
                 fu_used[unit] = 1
-            if ordered_memory and ent_mem[seq]:
+            if unit == ordered_unit:
                 memory_index += 1
-            back = cycle + ent_latency[seq]
-            while ret_used.get(back, 0) >= width:
+            del pool[index]
+            dispatches += 1
+            back = cycle + latencies[unit]
+            used = ret_used.get(back, 0)
+            while used >= width:
                 back += 1
-            ret_used[back] = ret_used.get(back, 0) + 1
+                used = ret_used.get(back, 0)
+            ret_used[back] = used + 1
             ent_result[seq] = back
-            dest_tag = ent_dest[seq]
-            if dest_tag >= 0:
-                avail = back if bypass else back + 1
-                tag_avail[dest_tag] = avail
-                for dep in waiting_on.pop(dest_tag, ()):
-                    pending = ent_pending[dep] - 1
-                    ent_pending[dep] = pending
-                    if avail > ent_ready[dep]:
-                        ent_ready[dep] = avail
-                    if pending == 0:
-                        heappush(ready_heap, (ent_ready[dep], dep))
+            # Only register writers are ever a producer, so setting the
+            # availability of stores (and PASS) too is harmless.
+            avail = back if bypass else back + 1
+            seq_avail[seq] = avail
+            # Wake the consumers already issued (they issued while
+            # this result was unknown); later ones will read seq_avail.
+            for dep in consumers[seq]:
+                if dep >= pos:
+                    break
+                pending = ent_pending[dep] - 1
+                ent_pending[dep] = pending
+                if avail > ent_ready[dep]:
+                    ent_ready[dep] = avail
+                if pending == 0:
+                    heappush(ready_heap, ent_ready[dep] * stride + dep)
 
         # ---- issue: up to N instructions, in program order -----------
-        issued = 0
-        while (
-            pos < n_entries
-            and issued < issue_units
-            and cycle >= issue_resume
-            and live < ruu_size
-        ):
-            op = ops[pos]
-            if op[3]:  # branch
-                if op[8]:
-                    a0_tag = latest_instance[_A0] * n_regs + _A0
-                    a0_ready = (
-                        0 if a0_tag < n_regs
-                        else tag_avail.get(a0_tag, _UNKNOWN)
-                    )
-                else:
-                    a0_ready = 0
-                if a0_ready == _UNKNOWN or a0_ready > cycle:
-                    break  # branch waits at the issue stage
-                issue_resume = cycle + branch_latency
-                if issue_resume > last_commit:
-                    # Branches never commit; their resolution still
-                    # bounds the machine's finish time.
-                    last_commit = issue_resume
-                if tracking:
+        # Nothing issues behind an unresolved branch, so the stretch
+        # that may issue this cycle is bounded up front.
+        start = pos
+        if cycle >= issue_resume:
+            stop = pos + min(issue_units, ruu_size - live)
+            if stop > n_entries:
+                stop = n_entries
+            while pos < stop:
+                a0 = branch_a0[pos]
+                if a0 is not None:  # branch
+                    if seq_avail[a0] > cycle:
+                        break  # branch waits at the issue stage
+                    issue_resume = last_resolve = cycle + branch_latency
                     issue_at[pos] = cycle
                     complete_at[pos] = issue_resume
-                pos += 1
-                issued += 1
-                break  # nothing issues behind an unresolved branch
+                    pos += 1
+                    break
 
-            unit, dest, srcs = op[0], op[1], op[2]
-            pending = 0
-            ready = cycle
-            for src in srcs:
-                tag = latest_instance[src] * n_regs + src
-                avail = 0 if tag < n_regs else tag_avail.get(tag, _UNKNOWN)
-                if avail == _UNKNOWN:
-                    pending += 1
-                    waiting_on.setdefault(tag, []).append(pos)
-                elif avail > ready:
-                    ready = avail
-            if dest >= 0:
-                instance = latest_instance[dest] + 1
-                latest_instance[dest] = instance
-                ent_dest[pos] = instance * n_regs + dest
-            ent_unit[pos] = unit
-            ent_latency[pos] = latencies[unit]
-            ent_pending[pos] = pending
-            ent_ready[pos] = ready
-            ent_mem[pos] = unit == _MEMORY
-            ring.append(pos)
-            live += 1
-            if tracking:
+                pending = 0
+                ready = cycle
+                for producer in sources[pos]:
+                    avail = seq_avail[producer]
+                    if avail > ready:
+                        if avail == _NEVER:
+                            pending += 1
+                        else:
+                            ready = avail
+                ent_pending[pos] = pending
+                ent_ready[pos] = ready
+                live += 1
                 issue_at[pos] = cycle
-            if telemetry:
-                t_busy[unit] -= cycle
-            if pending == 0:
-                heappush(ready_heap, (ready, pos))
-            pos += 1
-            issued += 1
+                if pending == 0:
+                    heappush(ready_heap, ready * stride + pos)
+                pos += 1
+        issued = pos - start
 
-        occupancy_sum += live
         if telemetry:
             t_hist[live * t_stride + issued] += 1
         if pos < n_entries and issued == 0:
@@ -1158,58 +1245,50 @@ def simulate_ruu_fast(
                 full_stall_cycles += 1
 
         if pos >= n_entries and live == 0:
-            cycle += 1
+            cycle = soon
             break
 
         # ---- advance: next cycle anything can happen ------------------
-        nxt = -1
-        if live > 0:
-            result = ent_result[ring[head]]
-            if result != _UNKNOWN:
-                nxt = result if result > cycle else cycle + 1
-        if ready_heap:
-            c = ready_heap[0][0]
-            if c <= cycle:
-                c = cycle + 1
-            if nxt < 0 or c < nxt:
-                nxt = c
-        if pos < n_entries and live < ruu_size:
-            cand = issue_resume if issue_resume > cycle + 1 else cycle + 1
-            op = ops[pos]
-            if op[3] and op[8]:
-                a0_tag = latest_instance[_A0] * n_regs + _A0
-                a0_ready = (
-                    0 if a0_tag < n_regs
-                    else tag_avail.get(a0_tag, _UNKNOWN)
-                )
-                if a0_ready == _UNKNOWN:
-                    cand = -1  # A0 producer must dispatch first
-                elif a0_ready > cand:
-                    cand = a0_ready
-            if cand >= 0 and (nxt < 0 or cand < nxt):
-                nxt = cand
-        if nxt < 0:  # pragma: no cover - deadlock trap advances
-            nxt = cycle + 1
+        # The earliest of: the head entry's result return (commit), the
+        # wakeup heap's root (dispatch; a pooled entry retries at once),
+        # and issue resuming after a branch or waiting on its A0 operand.
+        if pool:
+            nxt = soon
+        else:
+            nxt = ent_result[entries[head]] if live else _NEVER
+            if ready_heap and ready_heap[0] // stride < nxt:
+                nxt = ready_heap[0] // stride
+            if pos < n_entries and live < ruu_size:
+                cand = issue_resume
+                a0 = branch_a0[pos]
+                if a0 is not None and seq_avail[a0] > cand:
+                    cand = seq_avail[a0]  # _NEVER: A0 not dispatched yet
+                if cand < nxt:
+                    nxt = cand
+            if nxt < soon:
+                nxt = soon
+            # (_NEVER here would be a deadlock; the bug trap catches it.)
 
         # Credit the skipped idle cycles to the statistics exactly as
         # the reference's cycle-by-cycle walk would have.
-        idle = nxt - cycle - 1
+        idle = nxt - soon
         if idle > 0:
-            occupancy_sum += live * idle
             if telemetry:
                 t_hist[live * t_stride] += idle
             if pos < n_entries:
-                blocked = issue_resume - cycle - 1
-                if blocked > idle:
-                    blocked = idle
-                elif blocked < 0:
-                    blocked = 0
-                branch_stall_cycles += blocked
+                if issue_resume > soon:
+                    blocked = issue_resume - soon
+                    if blocked > idle:
+                        blocked = idle
+                    branch_stall_cycles += blocked
+                    idle -= blocked
                 if live >= ruu_size:
-                    full_stall_cycles += idle - blocked
+                    full_stall_cycles += idle
+        occupancy_sum += live * (nxt - cycle)
         cycle = nxt
 
-    if tracking:
+    finish = max(last_commit, last_resolve, 1)
+    if record is not None:
         record.extend(zip(issue_at, complete_at))
     detail = {
         "ruu_occupancy_mean": occupancy_sum / max(cycle, 1),
@@ -1227,16 +1306,12 @@ def simulate_ruu_fast(
                     t_width[issued] = t_width.get(issued, 0) + count
         detail.update(SimTelemetry(
             instructions=n_entries,
-            cycles=max(last_commit, 1),
+            cycles=finish,
             stall_cycles={
                 "BRANCH": branch_stall_cycles,
                 "RUU_FULL": full_stall_cycles,
             },
-            fu_busy_cycles={
-                _UNIT_NAMES[u]: t_busy[u]
-                for u in range(n_units)
-                if t_busy[u]
-            },
+            fu_busy_cycles=_ruu_busy(unit_entries, issue_at, complete_at),
             issue_width=t_width,
             occupancy=t_occupancy,
         ).to_detail())
@@ -1245,7 +1320,7 @@ def simulate_ruu_fast(
         simulator=machine.name,
         config=config,
         instructions=n_entries,
-        cycles=max(last_commit, 1),
+        cycles=finish,
         detail=detail,
     )
 
@@ -1869,6 +1944,7 @@ class PythonBackend(Backend):
     """Per-spec replay: each (machine, config) runs its own fast loop."""
 
     name = "python"
+    counter_names = ("fast_runs", "ruu_plan_builds", "ruu_plan_hits")
 
     _LOOPS = None  # family -> loop, bound lazily below
 

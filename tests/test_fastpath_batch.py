@@ -482,3 +482,103 @@ class TestGatingAndStats:
         )
         assert all(result.cycles >= 1 for result in results)
         assert fastpath.stats()["fast_runs"] == 0
+
+
+# ----------------------------------------------------------------------
+# The RUU rename plan: one build per compiled trace, shared by sweeps
+# ----------------------------------------------------------------------
+
+from repro.core.fastpath import python_backend
+
+
+def _ruu_sweep_members(count):
+    """*count* distinct RUU machines through the registry grammar."""
+    specs = [
+        f"ruu:{width}:{size}:{bus}:fu={fu}"
+        for width in range(1, 9)
+        for size in (2, 8, 16, 32, 64)
+        for bus in ("nbus", "1bus")
+        for fu in (1, 2, 3)
+    ]
+    assert len(specs) >= count
+    return [build_simulator(spec) for spec in specs[:count]]
+
+
+class TestRUUPlanCache:
+    def test_counters_are_new_keys(self):
+        stats = fastpath.stats()
+        assert "python.ruu_plan_builds" in stats
+        assert "python.ruu_plan_hits" in stats
+
+    def test_sweep_builds_the_plan_once(self):
+        trace = fuzz_trace(70_001, FuzzSpec(length=120))
+        members = _ruu_sweep_members(200)
+        fastpath.reset_stats()
+        results = fastpath.simulate_sweep(
+            trace, [(simulator, M11BR5) for simulator in members]
+        )
+        stats = fastpath.stats()
+        assert stats["python.ruu_plan_builds"] == 1
+        assert stats["python.ruu_plan_hits"] == 199
+        # The existing counters keep their meaning.
+        assert stats["compiles"] == 1
+        assert stats["batch.fallback_runs"] == 200
+        assert stats["python.fast_runs"] == 200
+        for simulator, result in zip(members, results):
+            assert result.simulator == simulator.name
+
+    def test_second_sweep_hits_the_cache(self):
+        trace = fuzz_trace(70_002, FuzzSpec(length=120))
+        members = _ruu_sweep_members(24)
+        items = [(simulator, M5BR2) for simulator in members]
+        first = fastpath.simulate_sweep(trace, items)
+        fastpath.reset_stats()
+        second = fastpath.simulate_sweep(trace, items)
+        stats = fastpath.stats()
+        assert stats["python.ruu_plan_builds"] == 0
+        assert stats["python.ruu_plan_hits"] == len(items)
+        assert [(r.cycles, r.detail) for r in second] == [
+            (r.cycles, r.detail) for r in first
+        ]
+
+    def test_plan_evicted_with_its_compiled_trace(self):
+        """1k throwaway traces must not grow the plan cache (weakref
+        eviction through the compile cache)."""
+        import gc
+
+        machine = build_simulator("ruu:2:10")
+        gc.collect()
+        before = len(python_backend._RUU_PLANS)
+        fastpath.reset_stats()
+        shape = FuzzSpec(length=8)
+        for seed in range(1000):
+            throwaway = fuzz_trace(20_000 + seed, shape)
+            machine.simulate(throwaway, M11BR5)
+            del throwaway
+        gc.collect()
+        assert len(python_backend._RUU_PLANS) <= before + 2
+        stats = fastpath.stats()
+        assert stats["python.ruu_plan_builds"] == 1000
+        assert stats["evictions"] >= 990
+
+    def test_mixed_family_sweep_keeps_item_order(self):
+        specs = (
+            "ruu:2:10", "cray", "ruu:4:50:1bus:fu=2", "ooo:4", "tomasulo",
+            "ruu:1:4:fu=3", "spec:50:2bit", "inorder:2", "ruu:8:64:fu=2",
+            "cdc6600", "ruu:3:16:1bus",
+        )
+        simulators = [build_simulator(spec) for spec in specs]
+        for seed in range(0, N_SEEDS, 50):
+            trace = TRACES[seed]
+            config = CONFIGS[seed % len(CONFIGS)]
+            swept = fastpath.simulate_sweep(
+                trace, [(simulator, config) for simulator in simulators]
+            )
+            assert [result.simulator for result in swept] == [
+                simulator.name for simulator in simulators
+            ]
+            for simulator, result in zip(simulators, swept):
+                single = simulator.simulate(trace, config)
+                assert (result.cycles, result.detail) == (
+                    single.cycles, single.detail
+                ), (simulator.name, trace.name)
