@@ -893,6 +893,11 @@ def run_verify(args) -> int:
     )
     for failure in report.failures:
         print(f"  {failure}")
+    if report.shrink_crashes:
+        print(
+            f"  {report.shrink_crashes} shrink candidates crashed a model "
+            f"(not followed); first: {report.first_shrink_crash}"
+        )
     if not report.ok and args.dump_dir is None:
         print(
             "  (re-run with --dump-dir to save replayable reproducer "

@@ -7,6 +7,9 @@ cross-machine oracle over the whole set.  On a failure it re-runs the
 single offending check inside a delta-debugging shrink loop
 (:mod:`repro.verify.shrink`) and dumps the minimal reproducing trace as
 JSON-lines (replayable with ``repro replay`` / ``repro simulate``).
+A shrink candidate that crashes a model is a different bug: it is not
+followed, but it is counted in the report and the first one is logged
+with its machine spec and exception.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core import fastpath
 from ..core.config import STANDARD_CONFIGS, MachineConfig
+from ..core.registry import build_simulator
 from ..trace import Trace, write_trace
 from .fuzz import FuzzSpec, fuzz_trace
 from .invariants import check_invariants, profile_for_spec
@@ -123,6 +127,11 @@ class VerifyReport:
     seeds_run: int = 0
     checks_run: int = 0
     failures: List[VerifyFailure] = field(default_factory=list)
+    #: Shrink candidates that crashed a model (not followed: the shrink
+    #: stays anchored to the original failure).
+    shrink_crashes: int = 0
+    #: The first of them: machine spec, candidate length, exception.
+    first_shrink_crash: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -167,34 +176,57 @@ def _first_violation(
     return None, checks
 
 
+def _crash_culprit(
+    candidate: Trace, config: MachineConfig, machines: Sequence[str]
+) -> str:
+    """The first of *machines* whose simulation raises on *candidate*
+    (``"oracle"`` when every machine replays it and the oracle's own
+    checks raised)."""
+    for spec in machines:
+        try:
+            build_simulator(spec).simulate(candidate, config)
+        except Exception:
+            return spec
+    return "oracle"
+
+
 def _still_fails_same_way(
     signature: Tuple[str, str],
     config: MachineConfig,
     machines: Sequence[str],
     *,
     check_telemetry: bool = False,
+    on_crash: Optional[Callable[[str, Trace, Exception], None]] = None,
 ) -> Callable[[Trace], bool]:
     check_id, machine = signature
+    uses_oracle = machine == "limits" or check_id in (
+        "partial-order",
+        "exact-equality",
+        "dataflow-bound",
+        "resource-bound",
+        "serial-dataflow-bound",
+        "telemetry",
+    )
 
     def predicate(candidate: Trace) -> bool:
         try:
-            if machine != "limits" and check_id not in (
-                "partial-order",
-                "exact-equality",
-                "dataflow-bound",
-                "resource-bound",
-                "serial-dataflow-bound",
-                "telemetry",
-            ):
-                violations = check_invariants(candidate, machine, config)
-            else:
+            if uses_oracle:
                 violations = run_oracle(
                     candidate, config, machines, DEFAULT_EDGES,
                     check_telemetry=check_telemetry,
                 ).violations
-        except Exception:
+            else:
+                violations = check_invariants(candidate, machine, config)
+        except Exception as exc:
             # A candidate that crashes a model is a different bug; keep
-            # the shrink anchored to the original failure.
+            # the shrink anchored to the original failure, but report it.
+            if on_crash is not None:
+                on_crash(
+                    _crash_culprit(candidate, config, machines)
+                    if uses_oracle else machine,
+                    candidate,
+                    exc,
+                )
             return False
         return any(_failure_signature(v) == signature for v in violations)
 
@@ -253,6 +285,15 @@ def run_verification(
 
     say = log or (lambda message: None)
 
+    def on_crash(spec: str, candidate: Trace, exc: Exception) -> None:
+        report.shrink_crashes += 1
+        if report.first_shrink_crash is None:
+            report.first_shrink_crash = (
+                f"{spec} on a {len(candidate)}-instruction candidate: "
+                f"{type(exc).__name__}: {exc}"
+            )
+            say(f"  shrink candidate crashed {report.first_shrink_crash}")
+
     for index in range(options.seeds):
         seed = options.first_seed + index
         config = options.configs[index % len(options.configs)]
@@ -280,6 +321,7 @@ def run_verification(
             predicate = _still_fails_same_way(
                 signature, config, options.machines,
                 check_telemetry=options.check_telemetry,
+                on_crash=on_crash,
             )
             repro = shrink_trace(
                 trace, predicate, name=f"{trace.name}-shrunk"

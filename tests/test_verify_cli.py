@@ -214,6 +214,62 @@ class TestRunner:
         assert any("shrunk" in message for message in messages)
         assert str(failure.repro_path) in str(failure)
 
+    def test_shrink_counts_and_logs_model_crashes(self, monkeypatch, capsys):
+        """A shrink candidate that crashes a model is not followed, but it
+        is counted and the first crash logged with its machine spec and
+        exception; the shrink stays anchored to the original failure."""
+        from dataclasses import replace
+
+        import repro.verify.invariants as invariants_module
+
+        real_build = invariants_module.build_simulator
+
+        def build(spec):
+            # "cray" miscounts every trace's instructions (an invariant
+            # violation) and crashes on traces under eight instructions.
+            machine = real_build(spec)
+            if spec == "cray":
+                observed = machine.simulate_observed
+
+                def simulate_observed(trace, config, on_event):
+                    if len(trace) < 8:
+                        raise RuntimeError(
+                            f"model crashed on {len(trace)} instructions"
+                        )
+                    result = observed(trace, config, on_event)
+                    return replace(
+                        result, instructions=result.instructions + 1
+                    )
+
+                machine.simulate_observed = simulate_observed
+            return machine
+
+        monkeypatch.setattr(invariants_module, "build_simulator", build)
+        messages = []
+        report = run_verification(
+            VerifyOptions(seeds=1, machines=("cray",)), log=messages.append
+        )
+        assert len(report.failures) == 1
+        failure = report.failures[0]
+        assert failure.check == "result-instruction-count"
+        assert failure.machine == "cray"
+        # Anchored: the shrink stops at the shortest trace that still
+        # fails the same way instead of following the crash below it.
+        assert len(failure.trace) == 8
+        assert report.shrink_crashes > 0
+        assert report.first_shrink_crash.startswith("cray on a ")
+        assert "RuntimeError: model crashed on" in report.first_shrink_crash
+        crash_logs = [m for m in messages if "shrink candidate crashed" in m]
+        assert crash_logs == [
+            f"  shrink candidate crashed {report.first_shrink_crash}"
+        ]
+
+        code, out, _ = run_cli(
+            capsys, "verify", "--seeds", "1", "--machines", "cray"
+        )
+        assert code == 1
+        assert f"{report.shrink_crashes} shrink candidates crashed" in out
+
     @pytest.mark.fuzz
     def test_nightly_fuzz_campaign(self):
         """The large-budget campaign nightly CI runs (excluded from tier-1)."""
