@@ -196,7 +196,9 @@ def _still_fails_same_way(
     machines: Sequence[str],
     *,
     check_telemetry: bool = False,
-    on_crash: Optional[Callable[[str, Trace, Exception], None]] = None,
+    on_crash: Optional[
+        Callable[[Trace, Exception, Callable[[], str]], None]
+    ] = None,
 ) -> Callable[[Trace], bool]:
     check_id, machine = signature
     uses_oracle = machine == "limits" or check_id in (
@@ -219,14 +221,13 @@ def _still_fails_same_way(
                 violations = check_invariants(candidate, machine, config)
         except Exception as exc:
             # A candidate that crashes a model is a different bug; keep
-            # the shrink anchored to the original failure, but report it.
+            # the shrink anchored to the original failure, but report it
+            # (naming the crashing spec, when wanted, costs a replay).
             if on_crash is not None:
-                on_crash(
+                on_crash(candidate, exc, lambda: (
                     _crash_culprit(candidate, config, machines)
-                    if uses_oracle else machine,
-                    candidate,
-                    exc,
-                )
+                    if uses_oracle else machine
+                ))
             return False
         return any(_failure_signature(v) == signature for v in violations)
 
@@ -285,11 +286,11 @@ def run_verification(
 
     say = log or (lambda message: None)
 
-    def on_crash(spec: str, candidate: Trace, exc: Exception) -> None:
+    def on_crash(candidate: Trace, exc: Exception, culprit) -> None:
         report.shrink_crashes += 1
         if report.first_shrink_crash is None:
             report.first_shrink_crash = (
-                f"{spec} on a {len(candidate)}-instruction candidate: "
+                f"{culprit()} on a {len(candidate)}-instruction candidate: "
                 f"{type(exc).__name__}: {exc}"
             )
             say(f"  shrink candidate crashed {report.first_shrink_crash}")

@@ -270,6 +270,31 @@ class TestRunner:
         assert code == 1
         assert f"{report.shrink_crashes} shrink candidates crashed" in out
 
+    def test_crash_culprit_names_the_crashing_oracle_machine(
+        self, monkeypatch
+    ):
+        """On the oracle path the crash is attributed to the first spec
+        whose replay raises, else to the oracle itself."""
+        from repro.core import M11BR5
+        from repro.verify.fuzz import fuzz_trace
+
+        real_build = runner_module.build_simulator
+
+        def build(spec):
+            machine = real_build(spec)
+            if spec == "ooo:2":
+                def simulate(trace, config):
+                    raise RuntimeError("boom")
+
+                machine.simulate = simulate
+            return machine
+
+        monkeypatch.setattr(runner_module, "build_simulator", build)
+        trace = fuzz_trace(3)
+        culprit = runner_module._crash_culprit
+        assert culprit(trace, M11BR5, ("cray", "ooo:2", "ruu:2:10")) == "ooo:2"
+        assert culprit(trace, M11BR5, ("cray", "ruu:2:10")) == "oracle"
+
     @pytest.mark.fuzz
     def test_nightly_fuzz_campaign(self):
         """The large-budget campaign nightly CI runs (excluded from tier-1)."""
