@@ -1151,8 +1151,8 @@ def simulate_ruu_fast(
         # A blocked entry stays in the pool, which is the reference's
         # re-push at `cycle + 1`: the next cycle visited sees it again.
         soon = cycle + 1
-        if ready_heap and ready_heap[0] < soon * stride:
-            limit = soon * stride
+        limit = soon * stride  # heap keys below this are ready now
+        if ready_heap and ready_heap[0] < limit:
             while ready_heap and ready_heap[0] < limit:
                 pool.append(heappop(ready_heap) % stride)
             pool.sort()  # oldest first
