@@ -1200,8 +1200,9 @@ def simulate_ruu_fast(
                     heappush(ready_heap, ent_ready[dep] * stride + dep)
 
         # ---- issue: up to N instructions, in program order -----------
-        # Nothing issues behind an unresolved branch, so the stretch
-        # that may issue this cycle is bounded up front.
+        # Each non-branch op takes an RUU slot, so the stretch that may
+        # issue this cycle is bounded up front; a branch takes no slot
+        # but ends the stretch.
         start = pos
         if cycle >= issue_resume:
             stop = pos + min(issue_units, ruu_size - live)
@@ -1216,7 +1217,7 @@ def simulate_ruu_fast(
                     issue_at[pos] = cycle
                     complete_at[pos] = issue_resume
                     pos += 1
-                    break
+                    break  # nothing issues behind an unresolved branch
 
                 pending = 0
                 ready = cycle

@@ -562,12 +562,21 @@ class TestRUUPlanCache:
         assert stats["evictions"] >= 990
 
     def test_mixed_family_sweep_keeps_item_order(self):
+        """RUU members (ablation flags included) interleaved with every
+        other family: results in item order, equal to per-spec runs."""
+        from repro.core.buses import BusKind
+        from repro.core.ruu import RUUMachine
+
         specs = (
             "ruu:2:10", "cray", "ruu:4:50:1bus:fu=2", "ooo:4", "tomasulo",
             "ruu:1:4:fu=3", "spec:50:2bit", "inorder:2", "ruu:8:64:fu=2",
             "cdc6600", "ruu:3:16:1bus",
         )
-        simulators = [build_simulator(spec) for spec in specs]
+        simulators = [build_simulator(spec) for spec in specs] + [
+            RUUMachine(4, 50, bypass=False, ordered_memory=True),
+            RUUMachine(2, 8, BusKind.ONE_BUS, ordered_memory=True,
+                       fu_copies=2),
+        ]
         for seed in range(0, N_SEEDS, 50):
             trace = TRACES[seed]
             config = CONFIGS[seed % len(CONFIGS)]

@@ -427,7 +427,10 @@ def _family_traces(templates, seeds):
 
 
 def _assert_fast_matches_reference(simulator, trace, config, context):
-    """One trace, one machine: cycles, rate, telemetry and schedule."""
+    """One trace, one machine: cycles, rate, telemetry and schedule.
+
+    Returns the fast result, the reference result and the reference's
+    event collector for callers that check more."""
     fast = simulator.simulate(trace, config)
     reference = simulator.reference_simulate(trace, config)
     assert fast.cycles == reference.cycles, context
@@ -454,6 +457,7 @@ def _assert_fast_matches_reference(simulator, trace, config, context):
         for entry in trace.entries
     ]
     assert schedule == expected, context
+    return fast, reference, collector
 
 
 @pytest.mark.sources
@@ -562,34 +566,11 @@ def _ruu_ablation(name):
 
 
 def _assert_ruu_matches_reference(simulator, trace, config, context):
-    """Cycles, detail (telemetry included) and schedule, one replay."""
-    fast = simulator.simulate(trace, config)
-    reference = simulator.reference_simulate(trace, config)
-    assert fast.cycles == reference.cycles, context
-    assert fast.instructions == reference.instructions, context
-    assert strip_telemetry(fast.detail) == dict(reference.detail or {}), (
-        context
+    """Cycles, detail (telemetry folded from the reference's events
+    included) and schedule, one replay."""
+    fast, reference, collector = _assert_fast_matches_reference(
+        simulator, trace, config, context
     )
-
-    schedule = []
-    recorded = fastpath.simulate_ruu_fast(simulator, trace, config, schedule)
-    assert recorded.cycles == fast.cycles, context
-    assert recorded.detail == fast.detail, context
-    collector = EventCollector()
-    observed = simulator.simulate_observed(trace, config, collector)
-    assert observed.cycles == reference.cycles, context
-    issues = collector.cycles_by_seq(EventKind.ISSUE)
-    completes = collector.cycles_by_seq(EventKind.COMPLETE)
-    expected = [
-        (
-            issues[entry.seq],
-            completes.get(
-                entry.seq, issues[entry.seq] + config.branch_latency
-            ),
-        )
-        for entry in trace.entries
-    ]
-    assert schedule == expected, context
     assert SimTelemetry.from_detail(fast.detail) == telemetry_from_events(
         collector.events,
         trace=trace,
@@ -620,24 +601,6 @@ def test_ruu_ablations_match_reference(name):
         _assert_ruu_matches_reference(
             simulator, trace, config, (name, trace.name, config.name)
         )
-
-
-def test_ruu_ablation_sweep_matches_per_spec():
-    """One batch sweep over every variant (served by the counted RUU
-    fallback) returns the per-spec results, in item order."""
-    simulators = [_ruu_ablation(name) for name in RUU_ABLATION_IDS]
-    for seed in range(0, N_SEEDS, 25):
-        trace = TRACES[seed]
-        config = CONFIGS[seed % len(CONFIGS)]
-        swept = fastpath.simulate_sweep(
-            trace, [(simulator, config) for simulator in simulators]
-        )
-        for simulator, result in zip(simulators, swept):
-            single = simulator.simulate(trace, config)
-            assert result.simulator == simulator.name
-            assert (result.cycles, result.detail) == (
-                single.cycles, single.detail
-            ), (simulator.name, trace.name)
 
 
 @pytest.mark.slow
