@@ -24,7 +24,9 @@ from __future__ import annotations
 
 from typing import List, Optional, Union
 
-from ..isa import Instruction, OpKind, Opcode, Operand, parse_register
+from ..isa import (
+    Instruction, InstructionError, OpKind, Opcode, Operand, parse_register,
+)
 from .assembler import assemble
 from .errors import AssemblerError
 from .program import Program
@@ -108,7 +110,7 @@ def _parse_instruction(
     )
     try:
         return Instruction(opcode, dest, srcs, target=target, comment=comment)
-    except Exception as exc:
+    except InstructionError as exc:
         raise ParseError(line_number, raw, str(exc)) from exc
 
 

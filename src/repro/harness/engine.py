@@ -10,11 +10,15 @@ machine timing are fully deterministic), and the merge harmonic-means
 grouped values in *plan order*, never in completion order.  Parallel
 output is therefore bit-identical to serial output.
 
-Persistence: when given a :class:`~repro.trace.DiskCache`, workers look
-up each cell result (and each trace) by content hash before computing,
-and store whatever they had to compute.  A corrupted or missing entry is
-indistinguishable from a cold cache -- it only costs time (and is
-counted: corruption rebuilds surface in the metrics and the footer).
+Persistence: when given a :class:`~repro.trace.DiskCache`, the parent
+looks up each cell result by content hash once, before any fan-out:
+hits become outcomes on the spot, and only the groups with a miss are
+evaluated -- in-process when one group misses, over a pool otherwise --
+so a fully warm table forks nothing.  Evaluation looks each trace up
+by content hash before building it, and stores whatever it had to
+compute.  A corrupted or missing entry is indistinguishable from a cold
+cache -- it only costs time (and is counted: corruption rebuilds
+surface in the metrics and the footer).
 
 Observability: every evaluation aggregates structured metrics
 (:mod:`repro.obs.metrics`) -- per-cell wall time, queue wait, cache
@@ -33,7 +37,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from datetime import datetime, timezone
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..core import config_by_name, fastpath
 from ..core.registry import build_simulator
@@ -86,6 +90,24 @@ def _fastpath_deltas(
         if delta:
             deltas[f"fastpath.{key}"] = float(delta)
     return deltas
+
+
+def _cache_deltas(
+    cache: DiskCache, before: Mapping[str, int]
+) -> Dict[str, float]:
+    """Non-zero DiskCache counter changes since *before*, as ``cache.*``."""
+    after = cache.counters()
+    deltas: Dict[str, float] = {}
+    for key, name in _CACHE_METRIC_NAMES.items():
+        delta = after.get(key, 0) - before.get(key, 0)
+        if delta:
+            deltas[name] = float(delta)
+    return deltas
+
+
+def _add_metrics(into: Dict[str, float], deltas: Mapping[str, float]) -> None:
+    for name, value in deltas.items():
+        into[name] = into.get(name, 0.0) + value
 
 
 def _telemetry_metrics(record: Mapping[str, Any]) -> Dict[str, float]:
@@ -143,7 +165,8 @@ def cell_key(cell: Cell) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Cell evaluation (runs in workers; everything here must be picklable)
+# Cell lookup (in the parent) and evaluation (in-process or in workers;
+# everything evaluation takes and returns must be picklable)
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -210,36 +233,15 @@ def _resolve_trace(
     return trace, "built"
 
 
-def _compute_record(
-    cell: Cell,
-    cache: Optional[DiskCache],
-    spans: List[Tuple[str, float, float]],
-) -> Tuple[Dict[str, Any], str]:
-    mark = time.monotonic()
-    trace, source = _resolve_trace(cell.loop, cell.n, cache)
-    spans.append((f"trace:resolve:{cell.loop}", mark, time.monotonic()))
-    config = config_by_name(cell.config)
-    if cell.is_limits:
-        mark = time.monotonic()
-        report = compute_limits(trace, config, serial=cell.serial)
-        spans.append(("limits", mark, time.monotonic()))
-        return {
-            "limits": {
-                "pseudo-dataflow": report.pseudo_dataflow_rate,
-                "resource": report.resource_rate,
-                "actual": report.actual_rate,
-            }
-        }, source
-    mark = time.monotonic()
-    result = build_simulator(cell.machine).simulate(trace, config)
-    spans.append((f"simulate:{cell.machine}", mark, time.monotonic()))
+def _result_record(result: Any) -> Dict[str, Any]:
+    """The stored shape of one simulation result."""
     return {
         "trace": result.trace_name,
         "simulator": result.simulator,
         "instructions": result.instructions,
         "cycles": result.cycles,
         "detail": dict(result.detail or {}),
-    }, source
+    }
 
 
 def _values_from_record(cell: Cell, record: Mapping[str, Any]) -> Dict[str, float]:
@@ -248,12 +250,73 @@ def _values_from_record(cell: Cell, record: Mapping[str, Any]) -> Dict[str, floa
         return {column: float(limits[column]) for column in cell.columns}
     if cell.metric != "rate":
         # Detail-backed metric (prediction_accuracy, vp_accuracy, ...).
-        # A record missing the key raises KeyError, which the callers
-        # treat exactly like a corrupt entry: recompute and overwrite.
+        # A record missing the key raises KeyError, which the lookup
+        # treats exactly like a corrupt entry: recompute and overwrite.
         detail = record.get("detail") or {}
         return {cell.columns[0]: float(detail[cell.metric])}
     rate = int(record["instructions"]) / int(record["cycles"])
     return {cell.columns[0]: rate}
+
+
+def _lookup_results(
+    items: List[Any],
+    cache: Optional[DiskCache],
+    key: Callable[[Any], Mapping[str, Any]],
+    hit: Callable[[Any, Mapping[str, Any], Dict[str, float], float], Any],
+) -> Tuple[List[Any], List[Any], Dict[str, float]]:
+    """Look each item's stored result up once, in the calling process.
+
+    The engine's only result-store read, run in the parent before any
+    fan-out by both :func:`run_plan` and :func:`run_source_sweep`.
+    ``hit(item, record, metrics, started)`` turns a stored record into an
+    outcome; *metrics* are the lookup's ``cache.*`` counter deltas and
+    *started* its ``time.monotonic()`` start.  A record ``hit`` cannot
+    decode is a miss like an absent or corrupt entry: it is recomputed
+    and overwritten.  Returns ``(hits, misses, miss_metrics)``: the
+    misses in input order and their lookups' counter deltas summed.
+    Without a cache every item misses.
+    """
+    if cache is None:
+        return [], list(items), {}
+    hits: List[Any] = []
+    misses: List[Any] = []
+    miss_metrics: Dict[str, float] = {}
+    for item in items:
+        started = time.monotonic()
+        before = cache.counters()
+        record = cache.load_result(key(item))
+        metrics = _cache_deltas(cache, before)
+        if record is not None:
+            try:
+                hits.append(hit(item, record, metrics, started))
+                continue
+            except (KeyError, TypeError, ValueError, ZeroDivisionError):
+                pass
+        _add_metrics(miss_metrics, metrics)
+        misses.append(item)
+    return hits, misses, miss_metrics
+
+
+def _cell_hit(
+    item: Tuple[int, Cell],
+    record: Mapping[str, Any],
+    metrics: Dict[str, float],
+    started: float,
+) -> CellOutcome:
+    index, cell = item
+    values = _values_from_record(cell, record)
+    ended = time.monotonic()
+    return CellOutcome(
+        index=index,
+        values=values,
+        seconds=ended - started,
+        result_hit=True,
+        trace_source="cached-result",
+        pid=os.getpid(),
+        started=started,
+        ended=ended,
+        metrics={**metrics, **_telemetry_metrics(record)},
+    )
 
 
 def evaluate_cell(
@@ -262,69 +325,13 @@ def evaluate_cell(
     cache: Optional[DiskCache],
     *,
     enqueued: Optional[float] = None,
+    metrics: Optional[Mapping[str, float]] = None,
 ) -> CellOutcome:
-    """Evaluate one cell, consulting and feeding the cache if given.
-
-    *enqueued* is the parent's ``time.monotonic()`` reading when the cell
-    was handed to the pool; the difference to the worker's start is the
-    cell's queue wait.
-    """
-    started = time.monotonic()
-    start = time.perf_counter()
-    queue_wait = max(0.0, started - enqueued) if enqueued is not None else 0.0
-    counters_before = cache.counters() if cache is not None else None
-    fastpath_before = fastpath.stats()
-    spans: List[Tuple[str, float, float]] = []
-
-    def finish(
-        values: Mapping[str, float],
-        result_hit: bool,
-        trace_source: str,
-        telemetry: Optional[Mapping[str, float]] = None,
-    ) -> CellOutcome:
-        ended = time.monotonic()
-        metrics: Dict[str, float] = {}
-        if counters_before is not None:
-            after = cache.counters()
-            for key, name in _CACHE_METRIC_NAMES.items():
-                delta = after.get(key, 0) - counters_before.get(key, 0)
-                if delta:
-                    metrics[name] = float(delta)
-        metrics.update(_fastpath_deltas(fastpath_before, fastpath.stats()))
-        if telemetry:
-            metrics.update(telemetry)
-        return CellOutcome(
-            index=index,
-            values=values,
-            seconds=time.perf_counter() - start,
-            result_hit=result_hit,
-            trace_source=trace_source,
-            pid=os.getpid(),
-            queue_wait=queue_wait,
-            started=started,
-            ended=ended,
-            spans=tuple(spans),
-            metrics=metrics,
-        )
-
-    record = cache.load_result(cell_key(cell)) if cache is not None else None
-    if record is not None:
-        try:
-            values = _values_from_record(cell, record)
-            return finish(
-                values, True, "cached-result", _telemetry_metrics(record)
-            )
-        except (KeyError, TypeError, ValueError, ZeroDivisionError):
-            # A record that does not decode cleanly is treated exactly
-            # like a miss: recompute and overwrite it.
-            record = None
-    record, source = _compute_record(cell, cache, spans)
-    if cache is not None:
-        cache.store_result(cell_key(cell), record)
-    return finish(
-        _values_from_record(cell, record), False, source,
-        _telemetry_metrics(record),
-    )
+    """Compute and store one cell, without reading the result store:
+    :func:`evaluate_sweep` of a one-cell group."""
+    return evaluate_sweep(
+        [(index, cell)], cache, enqueued=enqueued, metrics=metrics
+    )[0]
 
 
 def evaluate_sweep(
@@ -333,118 +340,75 @@ def evaluate_sweep(
     *,
     backend: str = "auto",
     enqueued: Optional[float] = None,
+    metrics: Optional[Mapping[str, float]] = None,
 ) -> List[CellOutcome]:
-    """Evaluate same-trace simulator cells as one fast-path sweep.
+    """Compute same-trace cells as one fast-path sweep.
 
-    Every cell in *group* must share ``(loop, n)`` and be a simulator
-    cell (not limits).  Cached results are honoured per cell exactly as
-    in :func:`evaluate_cell`; the remaining misses share one trace
-    resolution and one :func:`repro.core.fastpath.simulate_sweep` call
-    through *backend* -- gating is per sweep member, so a hooked or
-    fast-path-disabled member still runs its reference loop and the
-    merged table stays bit-identical to per-cell evaluation.
+    Every cell in *group* must share ``(loop, n)``; a limits cell has no
+    machine to sweep and comes alone.  The result store is not read: the
+    engine looks every cell up in the parent before any fan-out and
+    hands over only the misses, with their lookups' counter deltas as
+    *metrics*.  The cells share one trace resolution and one
+    :func:`repro.core.fastpath.simulate_sweep` call through *backend* --
+    gating is per sweep member, so a hooked or fast-path-disabled member
+    still runs its reference loop and the merged table stays
+    bit-identical to per-cell evaluation.  Every result is stored in
+    *cache*, if given.
 
-    The group's metric deltas (fast-path counters, cache counters) ride
-    on the first miss outcome; the sweep wall time is split evenly
-    across the misses so run totals still add up.
+    *enqueued* is the parent's ``time.monotonic()`` reading when the
+    group was handed out; the difference to the start here is the
+    group's queue wait.  The group's metric deltas (lookup and trace
+    cache counters, fast-path counters, telemetry) ride on the first
+    outcome; the wall time is split evenly across the cells so run
+    totals still add up.
     """
     started = time.monotonic()
     start = time.perf_counter()
     queue_wait = max(0.0, started - enqueued) if enqueued is not None else 0.0
-    outcomes: List[CellOutcome] = []
-    pending: List[Tuple[int, Cell]] = []
-    load_metrics: Dict[str, float] = {}
-    for index, cell in group:
-        lookup_before = cache.counters() if cache is not None else None
-        record = (
-            cache.load_result(cell_key(cell)) if cache is not None else None
-        )
-        lookup_delta: Dict[str, float] = {}
-        if lookup_before is not None:
-            lookup_after = cache.counters()
-            for key, name in _CACHE_METRIC_NAMES.items():
-                delta = lookup_after.get(key, 0) - lookup_before.get(key, 0)
-                if delta:
-                    lookup_delta[name] = float(delta)
-        if record is not None:
-            try:
-                values = _values_from_record(cell, record)
-                hit_telemetry = _telemetry_metrics(record)
-            except (KeyError, TypeError, ValueError, ZeroDivisionError):
-                values = None
-            if values is not None:
-                now = time.monotonic()
-                outcomes.append(CellOutcome(
-                    index=index,
-                    values=values,
-                    seconds=time.perf_counter() - start,
-                    result_hit=True,
-                    trace_source="cached-result",
-                    pid=os.getpid(),
-                    queue_wait=queue_wait if not outcomes else 0.0,
-                    started=started,
-                    ended=now,
-                    metrics={**lookup_delta, **hit_telemetry},
-                ))
-                start = time.perf_counter()
-                started = now
-                continue
-        # A missed (or corrupt) lookup's counters ride with the sweep
-        # metrics below.
-        for name, delta in lookup_delta.items():
-            load_metrics[name] = load_metrics.get(name, 0.0) + delta
-        pending.append((index, cell))
-    if not pending:
-        return outcomes
-    if outcomes:
-        queue_wait = 0.0
-
     counters_before = cache.counters() if cache is not None else None
     fastpath_before = fastpath.stats()
     spans: List[Tuple[str, float, float]] = []
-    first = pending[0][1]
+    first = group[0][1]
     mark = time.monotonic()
     trace, source = _resolve_trace(first.loop, first.n, cache)
     spans.append((f"trace:resolve:{first.loop}", mark, time.monotonic()))
-    items = [
-        (build_simulator(cell.machine), config_by_name(cell.config))
-        for _, cell in pending
-    ]
     mark = time.monotonic()
-    results = fastpath.simulate_sweep(trace, items, backend=backend)
-    spans.append(
-        (f"sweep:{first.loop}x{len(pending)}", mark, time.monotonic())
-    )
+    if first.is_limits:
+        report = compute_limits(
+            trace, config_by_name(first.config), serial=first.serial
+        )
+        spans.append(("limits", mark, time.monotonic()))
+        records = [{
+            "limits": {
+                "pseudo-dataflow": report.pseudo_dataflow_rate,
+                "resource": report.resource_rate,
+                "actual": report.actual_rate,
+            }
+        }]
+    else:
+        items = [
+            (build_simulator(cell.machine), config_by_name(cell.config))
+            for _, cell in group
+        ]
+        results = fastpath.simulate_sweep(trace, items, backend=backend)
+        spans.append(
+            (f"sweep:{first.loop}x{len(group)}", mark, time.monotonic())
+        )
+        records = [_result_record(result) for result in results]
 
-    metrics: Dict[str, float] = dict(load_metrics)
+    shared = dict(metrics or {})
     if counters_before is not None:
-        after = cache.counters()
-        for key, name in _CACHE_METRIC_NAMES.items():
-            delta = after.get(key, 0) - counters_before.get(key, 0)
-            if delta:
-                metrics[name] = metrics.get(name, 0.0) + float(delta)
-    metrics.update(_fastpath_deltas(fastpath_before, fastpath.stats()))
-
-    ended = time.monotonic()
-    share = (time.perf_counter() - start) / len(pending)
-    records: List[Dict[str, Any]] = []
-    for (index, cell), result in zip(pending, results):
-        record = {
-            "trace": result.trace_name,
-            "simulator": result.simulator,
-            "instructions": result.instructions,
-            "cycles": result.cycles,
-            "detail": dict(result.detail or {}),
-        }
-        records.append(record)
+        _add_metrics(shared, _cache_deltas(cache, counters_before))
+    shared.update(_fastpath_deltas(fastpath_before, fastpath.stats()))
+    for (_, cell), record in zip(group, records):
         if cache is not None:
             cache.store_result(cell_key(cell), record)
-        # The whole sweep's telemetry rides with the shared metrics (on
-        # the first miss outcome), like the fast-path counter deltas.
-        for name, value in _telemetry_metrics(record).items():
-            metrics[name] = metrics.get(name, 0.0) + value
-    for position, ((index, cell), record) in enumerate(zip(pending, records)):
-        outcomes.append(CellOutcome(
+        _add_metrics(shared, _telemetry_metrics(record))
+
+    ended = time.monotonic()
+    share = (time.perf_counter() - start) / len(group)
+    return [
+        CellOutcome(
             index=index,
             values=_values_from_record(cell, record),
             seconds=share,
@@ -455,25 +419,49 @@ def evaluate_sweep(
             started=started,
             ended=ended,
             spans=tuple(spans) if position == 0 else (),
-            metrics=metrics if position == 0 else {},
-        ))
-    return outcomes
+            metrics=shared if position == 0 else {},
+        )
+        for position, ((index, cell), record) in enumerate(zip(group, records))
+    ]
 
 
-def _evaluate_in_pool(
-    payload: Tuple[int, Cell, Optional[float]]
-) -> CellOutcome:
-    index, cell, enqueued = payload
-    return evaluate_cell(index, cell, _WORKER_CACHE, enqueued=enqueued)
+def _run_in_pool(
+    function: Callable[..., Any], task: Mapping[str, Any]
+) -> Any:
+    return function(cache=_WORKER_CACHE, **task)
 
 
-def _evaluate_sweep_in_pool(
-    payload: Tuple[List[Tuple[int, Cell]], str, Optional[float]]
-) -> List[CellOutcome]:
-    group, backend, enqueued = payload
-    return evaluate_sweep(
-        group, _WORKER_CACHE, backend=backend, enqueued=enqueued
-    )
+def _fan_out(
+    function: Callable[..., Any],
+    tasks: List[Dict[str, Any]],
+    cache: Optional[DiskCache],
+    workers: int,
+    collect: Callable[[int, Any], None],
+) -> None:
+    """Call ``function(cache=cache, **task)`` once per entry of *tasks*.
+
+    In-process when ``workers == 1`` or at most one task; otherwise over
+    a pool of ``min(workers, len(tasks))`` processes, each with its own
+    handle on *cache*'s root.  ``collect(position, result)`` runs in the
+    parent as each task completes (completion order under a pool), so
+    progress streams while the pool is still busy.
+    """
+    if workers == 1 or len(tasks) <= 1:
+        for position, task in enumerate(tasks):
+            collect(position, function(cache=cache, **task))
+        return
+    cache_dir = str(cache.root) if cache is not None else None
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(tasks)),
+        initializer=_pool_init,
+        initargs=(cache_dir,),
+    ) as pool:
+        futures = {
+            pool.submit(_run_in_pool, function, task): position
+            for position, task in enumerate(tasks)
+        }
+        for future in as_completed(futures):
+            collect(futures[future], future.result())
 
 
 # ----------------------------------------------------------------------
@@ -728,11 +716,14 @@ def run_plan(
 ) -> PlanRun:
     """Evaluate every cell of *plan* and merge deterministically.
 
-    ``workers=1`` (or a single-group plan) runs in-process; anything
-    larger fans out over a ``ProcessPoolExecutor``.  Simulator cells
+    Every cell is first looked up in *cache*, here in the parent; hits
+    need no further work.  Only the groups with a miss are evaluated:
+    in-process when ``workers=1`` or at most one group misses, otherwise
+    over a ``ProcessPoolExecutor`` of ``min(workers, missing groups)``
+    processes -- a fully warm table forks nothing.  Simulator cells
     sharing a trace are evaluated as one fast-path sweep through
     *backend* (``"auto"`` resolves to the batch backend; see
-    :mod:`repro.core.fastpath`) -- per-cell cache lookups and gating are
+    :mod:`repro.core.fastpath`) -- per-cell lookups and gating are
     preserved, so the table is bit-identical to per-cell evaluation.
     *cache* is optional: without it the engine is a pure compute path.
     With ``observe=True`` the run also records a span trace and writes a
@@ -747,16 +738,14 @@ def run_plan(
     workers = default_workers() if workers is None else max(1, int(workers))
     run_started = time.monotonic()
     start = time.perf_counter()
-    groups = _sweep_groups(plan)
-    payloads = [
-        (is_sweep, group, time.monotonic()) for is_sweep, group in groups
-    ]
 
     total = len(plan.cells)
     completed = 0
+    outcomes: List[CellOutcome] = []
 
-    def emit(batch: List[CellOutcome]) -> None:
+    def collect(batch: List[CellOutcome]) -> None:
         nonlocal completed
+        outcomes.extend(batch)
         if progress is None:
             completed += len(batch)
             return
@@ -777,47 +766,22 @@ def run_plan(
                 pid=outcome.pid,
             ))
 
-    if workers == 1 or len(payloads) <= 1:
-        outcomes = []
-        for is_sweep, group, enqueued in payloads:
-            if is_sweep:
-                batch = evaluate_sweep(
-                    group, cache, backend=backend, enqueued=enqueued
-                )
-            else:
-                index, cell = group[0]
-                batch = [
-                    evaluate_cell(index, cell, cache, enqueued=enqueued)
-                ]
-            outcomes.extend(batch)
-            emit(batch)
-    else:
-        cache_dir = str(cache.root) if cache is not None else None
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_pool_init,
-            initargs=(cache_dir,),
-        ) as pool:
-            # One future per group, collected as they complete, so the
-            # progress stream ticks while the pool is still busy.
-            futures = {}
-            for is_sweep, group, enqueued in payloads:
-                if is_sweep:
-                    future = pool.submit(
-                        _evaluate_sweep_in_pool, (group, backend, enqueued)
-                    )
-                else:
-                    future = pool.submit(
-                        _evaluate_in_pool,
-                        (group[0][0], group[0][1], enqueued),
-                    )
-                futures[future] = is_sweep
-            outcomes = []
-            for future in as_completed(futures):
-                result = future.result()
-                batch = result if futures[future] else [result]
-                outcomes.extend(batch)
-                emit(batch)
+    tasks = []
+    for _, group in _sweep_groups(plan):
+        hits, misses, metrics = _lookup_results(
+            group, cache, lambda item: cell_key(item[1]), _cell_hit
+        )
+        collect(hits)
+        if misses:
+            tasks.append(dict(
+                group=misses,
+                metrics=metrics,
+                backend=backend,
+                enqueued=time.monotonic(),
+            ))
+    _fan_out(
+        evaluate_sweep, tasks, cache, workers, lambda _, batch: collect(batch)
+    )
 
     table = merge_outcomes(plan, outcomes)
     run_ended = time.monotonic()
@@ -898,6 +862,12 @@ class SourceOutcome:
 _SOURCE_MEMO: Dict[str, Trace] = {}
 
 
+def _source_cache(source: str, cache: Optional[DiskCache]) -> Optional[DiskCache]:
+    """*cache*, unless *source* is a ``file:`` archive (never cached: the
+    path's content can change)."""
+    return None if source.startswith("file:") else cache
+
+
 def _evaluate_source_group(
     specs: Tuple[str, ...],
     source: str,
@@ -905,62 +875,29 @@ def _evaluate_source_group(
     cache: Optional[DiskCache],
     backend: str,
 ) -> List[SourceOutcome]:
-    """Simulate every machine spec against one source as a sweep.
+    """Simulate machine specs against one source as one sweep.
 
-    Per-spec cache lookups mirror :func:`evaluate_sweep`: hits skip the
-    replay, misses share one trace resolution and one
-    :func:`repro.core.fastpath.simulate_sweep` call.  ``file:`` sources
-    are never cached (the path's content can change).
+    The specs are the misses of the parent's lookup: they share one
+    trace resolution and one :func:`repro.core.fastpath.simulate_sweep`
+    call, and each result is stored unless the source is a ``file:``
+    archive.
     """
     start = time.perf_counter()
-    cacheable = cache is not None and not source.startswith("file:")
-    outcomes: List[SourceOutcome] = []
-    pending: List[str] = []
-    for spec in specs:
-        record = (
-            cache.load_result(source_cell_key(spec, source, config_name))
-            if cacheable
-            else None
-        )
-        if record is not None:
-            try:
-                outcomes.append(SourceOutcome(
-                    source=source,
-                    machine=spec,
-                    config=config_name,
-                    instructions=int(record["instructions"]),
-                    cycles=int(record["cycles"]),
-                    seconds=time.perf_counter() - start,
-                    result_hit=True,
-                    pid=os.getpid(),
-                ))
-                start = time.perf_counter()
-                continue
-            except (KeyError, TypeError, ValueError):
-                pass  # corrupt record: recompute and overwrite
-        pending.append(spec)
-    if not pending:
-        return outcomes
-
+    cache = _source_cache(source, cache)
     trace = _SOURCE_MEMO.get(source)
     if trace is None:
         trace = trace_source(source)
         _SOURCE_MEMO[source] = trace
     config = config_by_name(config_name)
-    items = [(build_simulator(spec), config) for spec in pending]
+    items = [(build_simulator(spec), config) for spec in specs]
     results = fastpath.simulate_sweep(trace, items, backend=backend)
-    share = (time.perf_counter() - start) / len(pending)
-    for spec, result in zip(pending, results):
-        if cacheable:
+    share = (time.perf_counter() - start) / len(specs)
+    outcomes: List[SourceOutcome] = []
+    for spec, result in zip(specs, results):
+        if cache is not None:
             cache.store_result(
                 source_cell_key(spec, source, config_name),
-                {
-                    "trace": result.trace_name,
-                    "simulator": result.simulator,
-                    "instructions": result.instructions,
-                    "cycles": result.cycles,
-                    "detail": dict(result.detail or {}),
-                },
+                _result_record(result),
             )
         outcomes.append(SourceOutcome(
             source=source,
@@ -973,15 +910,6 @@ def _evaluate_source_group(
             pid=os.getpid(),
         ))
     return outcomes
-
-
-def _source_group_in_pool(
-    payload: Tuple[Tuple[str, ...], str, str, str]
-) -> List[SourceOutcome]:
-    specs, source, config_name, backend = payload
-    return _evaluate_source_group(
-        specs, source, config_name, _WORKER_CACHE, backend
-    )
 
 
 @dataclass(frozen=True)
@@ -1016,7 +944,9 @@ def run_source_sweep(
 
     The explorer's verification stage: one sweep group per source (all
     specs replay the same resolved trace through the fast-path sweep
-    entry point), fanned out over a process pool for multiple sources.
+    entry point).  Results are looked up in *cache* in the parent first,
+    exactly as in :func:`run_plan`; only sources with a miss are
+    simulated, over a process pool when more than one misses.
     Results come back in deterministic (source, spec) input order
     regardless of completion order.  *sources* must be normalised spec
     strings; *progress* receives one event per completed (source, spec)
@@ -1025,9 +955,6 @@ def run_source_sweep(
     workers = default_workers() if workers is None else max(1, int(workers))
     start = time.perf_counter()
     spec_tuple = tuple(specs)
-    payloads = [
-        (spec_tuple, source, config, backend) for source in sources
-    ]
 
     total = len(spec_tuple) * len(sources)
     completed = 0
@@ -1053,36 +980,55 @@ def run_source_sweep(
                 pid=outcome.pid,
             ))
 
-    by_source: Dict[str, List[SourceOutcome]] = {}
-    if workers == 1 or len(payloads) <= 1:
-        for payload in payloads:
-            batch = _evaluate_source_group(
-                payload[0], payload[1], payload[2], cache, payload[3]
-            )
-            by_source[payload[1]] = batch
-            emit(batch)
-    else:
-        cache_dir = str(cache.root) if cache is not None else None
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(payloads)),
-            initializer=_pool_init,
-            initargs=(cache_dir,),
-        ) as pool:
-            futures = {
-                pool.submit(_source_group_in_pool, payload): payload[1]
-                for payload in payloads
-            }
-            for future in as_completed(futures):
-                batch = future.result()
-                by_source[futures[future]] = batch
-                emit(batch)
+    def hit(
+        item: Tuple[str, str],
+        record: Mapping[str, Any],
+        metrics: Dict[str, float],
+        started: float,
+    ) -> SourceOutcome:
+        spec, source = item
+        return SourceOutcome(
+            source=source,
+            machine=spec,
+            config=config,
+            instructions=int(record["instructions"]),
+            cycles=int(record["cycles"]),
+            seconds=time.monotonic() - started,
+            result_hit=True,
+            pid=os.getpid(),
+        )
+
+    by_position: List[List[SourceOutcome]] = []
+    tasks = []
+    task_positions: List[int] = []
+    for position, source in enumerate(sources):
+        hits, misses, _ = _lookup_results(
+            [(spec, source) for spec in spec_tuple],
+            _source_cache(source, cache),
+            lambda item: source_cell_key(item[0], item[1], config),
+            hit,
+        )
+        emit(hits)
+        by_position.append(hits)
+        if misses:
+            task_positions.append(position)
+            tasks.append(dict(
+                specs=tuple(spec for spec, _ in misses),
+                source=source,
+                config_name=config,
+                backend=backend,
+            ))
+
+    def collect(task: int, batch: List[SourceOutcome]) -> None:
+        by_position[task_positions[task]].extend(batch)
+        emit(batch)
+
+    _fan_out(_evaluate_source_group, tasks, cache, workers, collect)
 
     order = {spec: i for i, spec in enumerate(spec_tuple)}
     outcomes: List[SourceOutcome] = []
-    for source in sources:
-        outcomes.extend(
-            sorted(by_source[source], key=lambda o: order[o.machine])
-        )
+    for batch in by_position:
+        outcomes.extend(sorted(batch, key=lambda o: order[o.machine]))
     return SourceSweepRun(
         outcomes=tuple(outcomes),
         wall_seconds=time.perf_counter() - start,

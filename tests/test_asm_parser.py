@@ -3,7 +3,8 @@
 import pytest
 
 from repro.asm import ParseError, ProgramBuilder, parse_program
-from repro.isa import A, Opcode, S
+from repro.asm import parser
+from repro.isa import A, InstructionError, Opcode, S
 from repro.kernels import ALL_LOOPS, SMALL_SIZES, build_kernel
 
 
@@ -88,6 +89,25 @@ class TestErrors:
         # JAZ must test A0; operand validation errors carry the line.
         with pytest.raises(ParseError, match="line 1"):
             parse_program("JAZ A1, out\nout:")
+
+    def test_invalid_instruction_is_one_line_parse_error(self):
+        with pytest.raises(ParseError) as info:
+            parse_program("AI A1, 0\nJAZ A1, out\nout:")
+        message = str(info.value)
+        assert message.startswith("line 2: ")
+        assert "\n" not in message
+        assert isinstance(info.value.__cause__, InstructionError)
+
+    def test_isa_layer_bug_is_not_a_parse_error(self, monkeypatch):
+        bug = RuntimeError("broken validator")
+
+        def broken_instruction(*args, **kwargs):
+            raise bug
+
+        monkeypatch.setattr(parser, "Instruction", broken_instruction)
+        with pytest.raises(RuntimeError) as info:
+            parse_program("AI A1, 0")
+        assert info.value is bug
 
     def test_empty_text(self):
         with pytest.raises(Exception):

@@ -11,14 +11,17 @@ The two properties the redesign promises:
 """
 
 import json
+import os
 
 import pytest
 
 import repro.api as api
+from repro.harness import engine
 from repro.harness.engine import (
     cell_key,
     clear_process_memo,
     evaluate_cell,
+    run_plan,
     trace_key,
 )
 from repro.harness.plans import build_plan
@@ -211,6 +214,122 @@ class TestObservedCacheCounters:
         footer = run.stats.footer()
         assert "result cache" in footer
         assert "corrupt" not in footer
+
+
+def _forbid_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", refuse)
+
+
+def _one_cell_per_trace(plan, count):
+    """Indices of *count* cells from distinct traces (so distinct sweep
+    groups), in plan order."""
+    firsts = {}
+    for index, cell in enumerate(plan.cells):
+        firsts.setdefault((cell.loop, cell.n), index)
+    return sorted(firsts.values())[:count]
+
+
+class TestParentSideLookup:
+    """The parent looks every cell up once, before any fan-out: hits are
+    answered on the spot, only groups with a miss are evaluated, and a
+    pool starts only when more than one group misses."""
+
+    def test_warm_table_starts_no_pool(self, small_sizes, monkeypatch):
+        cold = api.run_table("table1", sizes=small_sizes, workers=2)
+        _forbid_pool(monkeypatch)
+        warm = api.run_table(
+            "table1", sizes=small_sizes, workers=2, observe=True
+        )
+        assert warm.table.rows == cold.table.rows
+        assert warm.stats.result_hits == warm.stats.cells
+        assert list(warm.stats.worker_utilization) == [os.getpid()]
+        assert list(warm.manifest.worker_utilization) == [str(os.getpid())]
+
+    @pytest.mark.parametrize("victims", [1, 2])
+    def test_only_missing_cells_are_recomputed(
+        self, small_sizes, monkeypatch, victims
+    ):
+        cold = api.run_table("table1", sizes=small_sizes, workers=2)
+        plan = build_plan("table1", small_sizes)
+        deleted = _one_cell_per_trace(plan, victims)
+        for index in deleted:
+            DiskCache().result_path(cell_key(plan.cells[index])).unlink()
+        if victims == 1:
+            _forbid_pool(monkeypatch)  # one group misses: in-process
+
+        events = []
+        warm = api.run_table(
+            "table1", sizes=small_sizes, workers=2, progress=events.append
+        )
+        assert warm.table.rows == cold.table.rows
+        recomputed = sorted(e.index for e in events if not e.result_hit)
+        assert recomputed == deleted
+        assert {e.pid for e in events if e.result_hit} == {os.getpid()}
+        if victims == 2:
+            assert {e.pid for e in events if not e.result_hit} != {
+                os.getpid()
+            }
+        counters = warm.stats.metrics["counters"]
+        assert counters["cache.result.misses"] == victims
+        assert (
+            counters["cache.result.hits"] + counters["cache.result.misses"]
+            == warm.stats.cells
+        )
+        assert warm.stats.result_hits == warm.stats.cells - victims
+
+    def test_corruption_is_counted_and_rewritten_with_a_pool(
+        self, small_sizes
+    ):
+        cold = api.run_table("table1", sizes=small_sizes, workers=2)
+        plan = build_plan("table1", small_sizes)
+        # Two groups miss, so the pool recomputes them.
+        paths = [
+            DiskCache().result_path(cell_key(plan.cells[index]))
+            for index in _one_cell_per_trace(plan, 2)
+        ]
+        for path in paths:
+            path.write_text("this is not json\n")
+
+        warm = api.run_table("table1", sizes=small_sizes, workers=2)
+        assert warm.table.rows == cold.table.rows
+        assert warm.stats.corrupt_rebuilds == 2
+        assert warm.stats.metrics["counters"]["cache.result.corruptions"] == 2
+        for path in paths:
+            header, record = path.read_text().splitlines()
+            assert json.loads(header)["kind"] == "header"
+            assert json.loads(record)["cycles"] > 0
+        rerun = api.run_table("table1", sizes=small_sizes, workers=2)
+        assert rerun.stats.result_hits == rerun.stats.cells
+        assert rerun.stats.corrupt_rebuilds == 0
+
+    def test_cache_and_fastpath_metrics_do_not_depend_on_workers(
+        self, small_sizes, tmp_path
+    ):
+        plan = build_plan("table1", small_sizes)
+
+        def counters(run):
+            return {
+                name: value
+                for name, value in run.stats.metrics["counters"].items()
+                if name.startswith(("cache.", "fastpath."))
+            }
+
+        # workers=2 first: its pool forks from the same process state the
+        # in-process run then starts from.
+        seen = {}
+        for workers in (2, 1):
+            clear_process_memo()
+            store = DiskCache(tmp_path / f"workers{workers}")
+            cold = run_plan(plan, workers=workers, cache=store)
+            warm = run_plan(plan, workers=workers, cache=store)
+            seen[workers] = (counters(cold), counters(warm))
+        assert seen[1] == seen[2]
+        cold_counters, warm_counters = seen[1]
+        assert cold_counters["cache.result.misses"] == len(plan.cells)
+        assert warm_counters == {"cache.result.hits": len(plan.cells)}
 
 
 class TestFastpathCounters:

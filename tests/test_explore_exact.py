@@ -8,10 +8,14 @@ frontier for every calibrated scalar workload family.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+import repro.api as api
 from repro.explore import explore
 from repro.explore.exact import ErrorStats, frontier_recall, simulate_specs
+from repro.harness import engine
 from repro.harness.engine import run_source_sweep
 from repro.trace import DiskCache
 
@@ -46,6 +50,41 @@ class TestRunSourceSweep:
         key = lambda o: (o.source, o.machine, o.cycles)
         assert [key(o) for o in cold.outcomes] == [
             key(o) for o in warm.outcomes
+        ]
+
+    def test_warm_rerun_starts_no_pool(self, tmp_path, monkeypatch):
+        cache = DiskCache(tmp_path / "cache")
+        cold = run_source_sweep(SPECS, SOURCES, workers=2, cache=cache)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", refuse)
+        warm = run_source_sweep(SPECS, SOURCES, workers=2, cache=cache)
+        assert warm.result_hits == len(SPECS) * len(SOURCES)
+        key = lambda o: (o.source, o.machine, o.instructions, o.cycles)
+        assert [key(o) for o in warm.outcomes] == [
+            key(o) for o in cold.outcomes
+        ]
+        assert {o.pid for o in warm.outcomes} == {os.getpid()}
+
+    def test_file_source_is_never_stored(self, tmp_path):
+        archive = tmp_path / "t.jsonl"
+        api.capture_source("fuzz:seed=3:len=48", str(archive))
+        sources = [f"file:{archive}", SOURCES[0]]
+        cache = DiskCache(tmp_path / "cache")
+        cold = run_source_sweep(SPECS, sources, workers=2, cache=cache)
+        stored = sorted((cache.root / "results").glob("*.jsonl"))
+        assert len(stored) == len(SPECS)
+
+        warm = run_source_sweep(SPECS, sources, workers=2, cache=cache)
+        assert [o.result_hit for o in warm.outcomes] == (
+            [False] * len(SPECS) + [True] * len(SPECS)
+        )
+        assert sorted((cache.root / "results").glob("*.jsonl")) == stored
+        key = lambda o: (o.source, o.machine, o.cycles)
+        assert [key(o) for o in warm.outcomes] == [
+            key(o) for o in cold.outcomes
         ]
 
     def test_rate_lookup(self):
