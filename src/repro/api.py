@@ -1,7 +1,7 @@
 """The public facade: one entry path for every experiment.
 
-``repro.api`` is the single surface through which the CLI, the legacy
-runner, and the benchmark scripts run experiments::
+``repro.api`` is the single surface through which the CLI and the
+benchmark scripts run experiments::
 
     import repro.api as api
 
@@ -782,8 +782,9 @@ def run_sweep(
 
     The sweep-shaped entry point: each trace is lowered once and
     replayed through *every* spec in one pass of the selected fast-path
-    backend (``"auto"`` resolves to the batch structure-of-arrays
-    backend; ``"python"`` forces per-spec compiled loops).  Machines
+    backend (``"auto"`` resolves to the batch backend: one
+    structure-of-arrays pass for the ``ooo`` specs, per-spec loops for
+    the rest; ``"python"`` forces per-spec compiled loops).  Machines
     without a compiled loop -- and every machine when the fast path is
     disabled -- run their reference loops; results are bit-identical
     across backends either way.

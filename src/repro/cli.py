@@ -143,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help=(
             "fast-path backend for sweep-shaped cell groups (auto = "
-            "batch structure-of-arrays; results are identical either way)"
+            "batch; results are identical either way)"
         ),
     )
     tables.add_argument(
@@ -772,7 +772,7 @@ def run_sweep_cmd(args) -> int:
         print(
             f"  [{fastpath.get('fast_runs', 0)} fast replays via "
             f"{swept} batched sweeps"
-            + (f"; {fallback} per-spec fallbacks" if fallback else "")
+            + (f"; {fallback} per-spec replays" if fallback else "")
             + f"; {run.manifest['wall_seconds']:.3f}s]"
         )
     return 0

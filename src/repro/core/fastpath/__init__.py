@@ -15,9 +15,10 @@ The package splits the fast path into three layers:
 * the backends themselves -- ``python``
   (:mod:`~repro.core.fastpath.python_backend`): the per-spec compiled
   loops machines dispatch to; ``batch``
-  (:mod:`~repro.core.fastpath.batch`): structure-of-arrays sweep
-  evaluation that replays one compiled trace through many
-  (machine, config) pairs in a single pass.
+  (:mod:`~repro.core.fastpath.batch`): sweep evaluation that replays
+  one compiled trace through many (machine, config) pairs in one call,
+  sharing a structure-of-arrays pass across the out-of-order members
+  and serving every other member with its per-spec loop.
 
 :func:`simulate_sweep` is the sweep entry point: it applies the gating
 per item (ineligible members run their machine's own ``simulate``,

@@ -11,10 +11,12 @@ for machines):
     config, one replay.  This is what ``simulate()`` dispatches to.
 
 ``batch``
-    Structure-of-arrays sweep evaluation
-    (:mod:`repro.core.fastpath.batch`): one compiled trace replayed
-    through *many* (machine, config) pairs in one pass, amortising the
-    decode, buffer decomposition and hazard analysis across the sweep.
+    Sweep evaluation (:mod:`repro.core.fastpath.batch`): one compiled
+    trace replayed through *many* (machine, config) pairs in one call.
+    Out-of-order members share one structure-of-arrays pass and its
+    buffer decomposition and hazard analysis; every other member takes
+    its ``python`` per-spec loop, which measures as fast or faster for
+    those families.
 
 Gating is uniform across backends and decided here, once, per
 (simulator, call):
@@ -171,7 +173,10 @@ def stats() -> Dict[str, int]:
     totals fast replays across backends; ``<backend>.<counter>`` keys
     (``python.fast_runs``, ``batch.fast_runs``, ``batch.sweeps``,
     ``batch.fallback_runs``) attribute them to the backend that served
-    them.
+    them.  ``batch.fast_runs`` counts the out-of-order members the batch
+    kernel served; ``batch.fallback_runs`` counts the members of a batch
+    sweep served by per-spec loops instead -- the chosen kernel for
+    every other family, not a failure.
     """
     merged: Dict[str, int] = dict(ir._STATS)
     merged["fast_runs"] = 0

@@ -6,26 +6,28 @@ a table, the oracle's machine set, an issue-width sweep).  The
 per-spec loops pay the full replay cost per configuration even though
 :func:`~repro.core.fastpath.ir.compile_trace` already shares the
 decode.  This backend evaluates one :class:`CompiledTrace` through a
-whole sweep in a single pass: per-spec machine state lives in parallel
-integer arrays (one slot per sweep member), and everything that does
-not depend on the configuration -- operand/flag unpacking, the
-in-order window and out-of-order buffer decomposition, the per-buffer
-hazard analysis -- is computed once and shared across the sweep.
+whole out-of-order sweep in a single pass: per-spec machine state lives
+in parallel integer arrays (one slot per sweep member), and everything
+that does not depend on the configuration -- operand/flag unpacking,
+the buffer decomposition, the per-buffer hazard analysis -- is computed
+once and shared across the sweep.
 
-Grouping: sweep items are bucketed by *structure key* -- the attributes
-that shape the shared decomposition (machine family; issue width and
-WAR policy for the windowed machines).  Flags that only parameterise
-the per-spec recurrence (latency tables, branch latency, bus wiring,
-result-bus modelling, chaining) stay per-spec inside a group, so e.g.
-``cray``/``serialmemory``/``nonsegmented`` batch together and a
-four-config table row is always one group.  The RUU, Tomasulo and
-speculative machines keep their per-spec loops: their per-cycle wakeup
-state and predictor replay do not share across configs profitably.
-Sweep items for them are served by the ``python`` backend loops inside
-the same sweep call -- counted as ``fallback_runs`` -- sharing the
-single compiled trace; the RUU members also share its register-rename
-plan (``python_backend._ruu_plan``, built once per compiled trace and
-cached like the out-of-order plan below).
+Grouping: only the out-of-order machine has a sweep kernel here.  Its
+members are bucketed by the attributes that shape the shared buffer
+decomposition -- issue width and WAR policy.  Flags that only
+parameterise the per-spec recurrence (latency tables, branch latency,
+bus wiring, result-bus modelling) stay per-spec inside a group, so a
+four-config table row is always one group.  Every other family -- the
+single-issue scoreboard, the CDC 6600, the in-order window, RUU,
+Tomasulo and the speculative machines -- takes the ``python`` backend's
+per-spec loop inside the same sweep call, counted as ``fallback_runs``
+and sharing the single compiled trace.  A sweep kernel for those
+families would share nothing across configs but the decode that
+:func:`compile_trace` already shares, and measures no faster than the
+per-spec loops (``docs/performance.md`` has the numbers).  The RUU
+members also share its register-rename plan
+(``python_backend._ruu_plan``, built once per compiled trace and cached
+like the out-of-order plan below).
 
 For the out-of-order machine the shared analysis is the big win: the
 reference (and the per-spec fast loop) re-derives control and data
@@ -50,8 +52,7 @@ check enforce it.
 from __future__ import annotations
 
 import weakref
-from heapq import heappop, heappush
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...obs.telemetry import SimTelemetry
 from ...obs.telemetry import collecting as telemetry_collecting
@@ -65,24 +66,13 @@ from .backends import (
     get_backend,
     register_backend,
 )
-from .ir import (
-    N_REGISTERS,
-    UNITS,
-    _UNKNOWN,
-    _unit_tables,
-    compile_trace,
-    window_stats,
-)
-from .python_backend import _UNIT_NAMES, _closed_busy
+from .ir import N_REGISTERS, UNITS, _UNKNOWN, compile_trace, window_stats
+from .python_backend import _closed_busy
 
 __all__ = ["BatchBackend"]
 
 #: Cap on buffer-drain scan passes, mirroring the per-spec loop's guard.
 _MAX_BUFFER_CYCLES = 100_000
-
-#: Families the batch kernels cover; the rest fall back to the
-#: ``python`` backend's per-spec loops (still inside the one sweep).
-_BATCHED_FAMILIES = frozenset({"scoreboard", "cdc6600", "inorder", "ooo"})
 
 
 def _scalar_only(machine):
@@ -100,565 +90,6 @@ def _result(compiled, machine, config, cycles, detail=None) -> SimulationResult:
         cycles=cycles,
         detail=detail if detail is not None else {},
     )
-
-
-# ----------------------------------------------------------------------
-# Scoreboard family: single issue, issue-blocking (Section 3.2)
-# ----------------------------------------------------------------------
-
-def _sweep_scoreboard(compiled, group) -> List[SimulationResult]:
-    """All scoreboard variants over one trace: ops outer, specs inner.
-
-    The per-spec body is the ``python`` backend's scoreboard recurrence
-    verbatim (same max chains, same bus probe, same tie-breaks); only
-    the operand unpacking is hoisted out of the sweep.
-    """
-    K = len(group)
-    p_lat: List[List[int]] = []
-    p_pipe: List[List[bool]] = []
-    p_brlat: List[int] = []
-    p_bus: List[bool] = []
-    p_chain: List[bool] = []
-    for item in group:
-        machine, config = item.simulator, item.config
-        latencies, pipelined = _unit_tables(
-            config, machine.fu_pipelined, machine.memory_interleaved
-        )
-        p_lat.append(latencies)
-        p_pipe.append(pipelined)
-        p_brlat.append(config.branch_latency)
-        p_bus.append(machine.model_result_bus)
-        p_chain.append(machine.vector_chaining)
-
-    n_units = len(UNITS)
-    reg_ready = [[0] * N_REGISTERS for _ in range(K)]
-    write_done = [[0] * N_REGISTERS for _ in range(K)]
-    fu_free = [[0] * n_units for _ in range(K)]
-    bus_reserved: List[set] = [set() for _ in range(K)]
-    bus_heap: List[List[int]] = [[] for _ in range(K)]
-    next_issue = [0] * K
-    last_event = [0] * K
-    records = [item.record for item in group]
-
-    telemetry = telemetry_collecting()
-
-    # Two copies of the recurrence, as in the ``python`` backend's
-    # scoreboard loop: the plain copy is the replay verbatim, the
-    # telemetry copy tags each issue-probe improvement with an integer
-    # reason code and attributes whole issue gaps in closed form
-    # (branch shadows pre-credited at the branch, refunded when a later
-    # relabelled gap absorbs them).
-    if not telemetry:
-        for unit, dest, srcs, is_branch, _taken, is_vector, vl, uses_bus, \
-                _c in compiled.ops:
-            for k in range(K):
-                latency = p_lat[k][unit]
-                regs = reg_ready[k]
-
-                earliest = next_issue[k]
-                for src in srcs:
-                    ready = regs[src]
-                    if ready > earliest:
-                        earliest = ready
-                if dest >= 0:
-                    ready = write_done[k][dest]
-                    if ready > earliest:
-                        earliest = ready
-                ready = fu_free[k][unit]
-                if ready > earliest:
-                    earliest = ready
-                if p_bus[k] and uses_bus:
-                    reserved = bus_reserved[k]
-                    heap = bus_heap[k]
-                    front = next_issue[k]
-                    while heap and heap[0] <= front:
-                        reserved.discard(heappop(heap))
-                    while earliest + latency in reserved:
-                        earliest += 1
-
-                issue = earliest
-
-                complete = issue + latency + vl
-                if p_bus[k] and uses_bus:
-                    bus_reserved[k].add(complete)
-                    heappush(bus_heap[k], complete)
-
-                if is_vector:
-                    fu_free[k][unit] = (
-                        issue + vl if p_pipe[k][unit] else complete
-                    )
-                else:
-                    fu_free[k][unit] = (
-                        issue + 1 if p_pipe[k][unit] else complete
-                    )
-
-                if dest >= 0:
-                    if is_vector and p_chain[k]:
-                        regs[dest] = issue + latency
-                    else:
-                        regs[dest] = complete
-                    write_done[k][dest] = complete
-
-                if is_branch:
-                    next_issue[k] = issue + p_brlat[k]
-                    complete = next_issue[k]
-                else:
-                    next_issue[k] = issue + 1
-
-                if complete > last_event[k]:
-                    last_event[k] = complete
-                if records[k] is not None:
-                    records[k].append((issue, complete))
-    else:
-        # reason codes: 0 NONE, 1 RAW, 2 WAW, 3 UNIT, 4 BUS, 5 BRANCH
-        t_acc = [[0] * 6 for _ in range(K)]
-        t_prev = [-1] * K
-        reason = 0
-        for unit, dest, srcs, is_branch, _taken, is_vector, vl, uses_bus, \
-                _c in compiled.ops:
-            for k in range(K):
-                latency = p_lat[k][unit]
-                regs = reg_ready[k]
-
-                front = next_issue[k]
-                earliest = front
-                for src in srcs:
-                    ready = regs[src]
-                    if ready > earliest:
-                        earliest = ready
-                        reason = 1
-                if dest >= 0:
-                    ready = write_done[k][dest]
-                    if ready > earliest:
-                        earliest = ready
-                        reason = 2
-                ready = fu_free[k][unit]
-                if ready > earliest:
-                    earliest = ready
-                    reason = 3
-                if p_bus[k] and uses_bus:
-                    reserved = bus_reserved[k]
-                    heap = bus_heap[k]
-                    while heap and heap[0] <= front:
-                        reserved.discard(heappop(heap))
-                    while earliest + latency in reserved:
-                        earliest += 1
-                        reason = 4
-
-                issue = earliest
-
-                # A positive gap implies a strict improvement set
-                # `reason` this iteration, so no per-op reseeding.
-                if issue > front:
-                    acc = t_acc[k]
-                    gap = issue - t_prev[k] - 1
-                    acc[reason] += gap
-                    shadow = gap - issue + front
-                    if shadow:
-                        acc[5] -= shadow
-                t_prev[k] = issue
-
-                complete = issue + latency + vl
-                if p_bus[k] and uses_bus:
-                    bus_reserved[k].add(complete)
-                    heappush(bus_heap[k], complete)
-
-                if is_vector:
-                    fu_free[k][unit] = (
-                        issue + vl if p_pipe[k][unit] else complete
-                    )
-                else:
-                    fu_free[k][unit] = (
-                        issue + 1 if p_pipe[k][unit] else complete
-                    )
-
-                if dest >= 0:
-                    if is_vector and p_chain[k]:
-                        regs[dest] = issue + latency
-                    else:
-                        regs[dest] = complete
-                    write_done[k][dest] = complete
-
-                if is_branch:
-                    next_issue[k] = issue + p_brlat[k]
-                    complete = next_issue[k]
-                    t_acc[k][5] += p_brlat[k] - 1
-                else:
-                    next_issue[k] = issue + 1
-
-                if complete > last_event[k]:
-                    last_event[k] = complete
-                if records[k] is not None:
-                    records[k].append((issue, complete))
-        if compiled.n and compiled.ops[-1][3]:
-            # The final branch's shadow has no successor to pay it.
-            for k in range(K):
-                t_acc[k][5] -= p_brlat[k] - 1
-
-    details: List[Dict[str, float]] = [{}] * K
-    if telemetry:
-        details = [
-            SimTelemetry(
-                instructions=compiled.n,
-                cycles=last_event[k],
-                stall_cycles={
-                    "RAW": t_acc[k][1],
-                    "WAW": t_acc[k][2],
-                    "UNIT": t_acc[k][3],
-                    "BUS": t_acc[k][4],
-                    "BRANCH": t_acc[k][5],
-                },
-                fu_busy_cycles=_closed_busy(compiled, p_lat[k], p_brlat[k]),
-                issue_width={1: compiled.n},
-            ).to_detail()
-            for k in range(K)
-        ]
-
-    return [
-        _result(compiled, item.simulator, item.config, last_event[k],
-                details[k])
-        for k, item in enumerate(group)
-    ]
-
-
-# ----------------------------------------------------------------------
-# CDC 6600-style scoreboard: RAW waits at the units (Section 3.3)
-# ----------------------------------------------------------------------
-
-def _sweep_cdc6600(compiled, group) -> List[SimulationResult]:
-    K = len(group)
-    p_lat: List[List[int]] = []
-    p_brlat: List[int] = []
-    p_holds: List[bool] = []
-    for item in group:
-        table = item.config.latencies
-        p_lat.append([table.latency(unit) for unit in UNITS])
-        p_brlat.append(item.config.branch_latency)
-        p_holds.append(item.simulator.fu_holds_until_complete)
-
-    from .ir import _MEMORY
-
-    n_units = len(UNITS)
-    reg_ready = [[0] * N_REGISTERS for _ in range(K)]
-    fu_free = [[0] * n_units for _ in range(K)]
-    next_issue = [0] * K
-    last_event = [0] * K
-    records = [item.record for item in group]
-
-    telemetry = telemetry_collecting()
-
-    # Two copies of the recurrence (see the scoreboard sweep).  Busy
-    # spans are mostly closed-form: a non-branch op occupies its unit
-    # for ``latency`` cycles plus however long RAW delivery delays
-    # execution start (``start - issue``), and a branch for the branch
-    # latency exactly -- so the telemetry copy only accumulates the
-    # start-delay excess and adds the closed form at the end.
-    if not telemetry:
-        for unit, dest, srcs, is_branch, _t, _v, _vl, _bus, _c in (
-            compiled.ops
-        ):
-            for k in range(K):
-                latency = p_lat[k][unit]
-                regs = reg_ready[k]
-
-                earliest = next_issue[k]
-                ready = fu_free[k][unit]
-                if ready > earliest:
-                    earliest = ready
-                if dest >= 0:
-                    waw = regs[dest]
-                    if waw > earliest:
-                        earliest = waw
-                if is_branch:
-                    for src in srcs:
-                        ready = regs[src]
-                        if ready > earliest:
-                            earliest = ready
-
-                issue = earliest
-
-                start = issue
-                for src in srcs:
-                    ready = regs[src]
-                    if ready > start:
-                        start = ready
-                complete = start + latency
-
-                if is_branch:
-                    next_issue[k] = issue + p_brlat[k]
-                    complete = next_issue[k]
-                    fu_free[k][unit] = issue + 1
-                else:
-                    next_issue[k] = issue + 1
-                    if unit == _MEMORY:
-                        fu_free[k][unit] = start + 1
-                    else:
-                        fu_free[k][unit] = (
-                            complete if p_holds[k] else start + 1
-                        )
-                    if dest >= 0:
-                        regs[dest] = complete
-
-                if complete > last_event[k]:
-                    last_event[k] = complete
-                if records[k] is not None:
-                    records[k].append((issue, complete))
-    else:
-        t_extra = [[0] * n_units for _ in range(K)]
-        for unit, dest, srcs, is_branch, _t, _v, _vl, _bus, _c in (
-            compiled.ops
-        ):
-            for k in range(K):
-                latency = p_lat[k][unit]
-                regs = reg_ready[k]
-
-                earliest = next_issue[k]
-                ready = fu_free[k][unit]
-                if ready > earliest:
-                    earliest = ready
-                if dest >= 0:
-                    waw = regs[dest]
-                    if waw > earliest:
-                        earliest = waw
-                if is_branch:
-                    for src in srcs:
-                        ready = regs[src]
-                        if ready > earliest:
-                            earliest = ready
-
-                issue = earliest
-
-                start = issue
-                for src in srcs:
-                    ready = regs[src]
-                    if ready > start:
-                        start = ready
-                complete = start + latency
-                if start > issue:
-                    # RAW delivery held the unit past its closed-form
-                    # span.  (Branches never take this path: their
-                    # issue already waited on every source.)
-                    t_extra[k][unit] += start - issue
-
-                if is_branch:
-                    next_issue[k] = issue + p_brlat[k]
-                    complete = next_issue[k]
-                    fu_free[k][unit] = issue + 1
-                else:
-                    next_issue[k] = issue + 1
-                    if unit == _MEMORY:
-                        fu_free[k][unit] = start + 1
-                    else:
-                        fu_free[k][unit] = (
-                            complete if p_holds[k] else start + 1
-                        )
-                    if dest >= 0:
-                        regs[dest] = complete
-
-                if complete > last_event[k]:
-                    last_event[k] = complete
-                if records[k] is not None:
-                    records[k].append((issue, complete))
-
-    details: List[Dict[str, float]] = [{}] * K
-    if telemetry:
-        details = []
-        for k in range(K):
-            busy = _closed_busy(compiled, p_lat[k], p_brlat[k])
-            for u in range(n_units):
-                if t_extra[k][u]:
-                    name = _UNIT_NAMES[u]
-                    busy[name] = busy.get(name, 0) + t_extra[k][u]
-            details.append(
-                SimTelemetry(
-                    instructions=compiled.n,
-                    cycles=max(last_event[k], 1),
-                    stall_cycles={},
-                    fu_busy_cycles=busy,
-                    issue_width={1: compiled.n},
-                ).to_detail()
-            )
-
-    return [
-        _result(compiled, item.simulator, item.config, max(last_event[k], 1),
-                details[k])
-        for k, item in enumerate(group)
-    ]
-
-
-# ----------------------------------------------------------------------
-# In-order multiple issue (Section 5.1): shared window decomposition
-# ----------------------------------------------------------------------
-
-def _sweep_inorder(compiled, units, group) -> List[SimulationResult]:
-    """One window walk, every spec: the window boundaries (up to
-    *units* slots, cut at the first taken branch) depend only on the
-    compiled taken flags, so the decomposition and operand unpacking
-    are shared; the per-slot recurrence runs per spec."""
-    K = len(group)
-    p_lat: List[List[int]] = []
-    p_brlat: List[int] = []
-    p_nbus: List[int] = []
-    p_xbar: List[bool] = []
-    for item in group:
-        latencies, _ = _unit_tables(item.config, True, True)
-        p_lat.append(latencies)
-        p_brlat.append(item.config.branch_latency)
-        kind = item.simulator.bus_kind
-        p_nbus.append(1 if kind is BusKind.ONE_BUS else units)
-        p_xbar.append(kind is BusKind.X_BAR)
-
-    n_units = len(UNITS)
-    reg_ready = [[0] * N_REGISTERS for _ in range(K)]
-    fu_free = [[0] * n_units for _ in range(K)]
-    buses: List[List[set]] = [
-        [set() for _ in range(p_nbus[k])] for k in range(K)
-    ]
-    bus_heap: List[List[Tuple[int, int]]] = [[] for _ in range(K)]
-    cycles = [0] * K
-    last_event = [0] * K
-    records = [item.record for item in group]
-
-    telemetry = telemetry_collecting()
-    # Buffer shape (occupancy, flushes) is config-independent and comes
-    # from the shared per-trace cache.  Issue-width run lengths depend
-    # on latencies, so they stay per spec; runs never exceed the buffer
-    # width, so the histograms live in flat lists.
-    t_run = [0] * K
-    t_run_cycle = [-1] * K
-    t_width: List[List[int]] = [[0] * (units + 1) for _ in range(K)]
-
-    ops = compiled.ops
-    n_entries = compiled.n
-    pos = 0
-    while pos < n_entries:
-        end = pos + units
-        if end > n_entries:
-            end = n_entries
-        index = pos
-        cut = False
-        is_branch = False
-        while index < end:
-            unit, dest, srcs, is_branch, taken, _v, _vl, _bus, _c = ops[index]
-            slot = index - pos
-            for k in range(K):
-                latency = p_lat[k][unit]
-                regs = reg_ready[k]
-                cycle = cycles[k]
-
-                earliest = cycle
-                for src in srcs:
-                    ready = regs[src]
-                    if ready > earliest:
-                        earliest = ready
-                if dest >= 0:
-                    ready = regs[dest]
-                    if ready > earliest:
-                        earliest = ready
-                ready = fu_free[k][unit]
-                if ready > earliest:
-                    earliest = ready
-
-                if dest >= 0:
-                    heap = bus_heap[k]
-                    buses_k = buses[k]
-                    while heap and heap[0][0] <= cycle:
-                        done, bus_index = heappop(heap)
-                        buses_k[bus_index].discard(done)
-                    target = earliest + latency
-                    if p_xbar[k]:
-                        while True:
-                            chosen = -1
-                            for bus_index, reserved in enumerate(buses_k):
-                                if target not in reserved:
-                                    chosen = bus_index
-                                    break
-                            if chosen >= 0:
-                                break
-                            earliest += 1
-                            target += 1
-                    else:
-                        chosen = slot % p_nbus[k]
-                        reserved = buses_k[chosen]
-                        while target in reserved:
-                            earliest += 1
-                            target += 1
-                    buses_k[chosen].add(target)
-                    heappush(heap, (target, chosen))
-
-                cycle = earliest
-                if telemetry:
-                    # Issue cycles are globally nondecreasing, so equal
-                    # neighbours form one multi-issue cycle: run-length
-                    # encode them into the width histogram.
-                    if cycle == t_run_cycle[k]:
-                        t_run[k] += 1
-                    else:
-                        run = t_run[k]
-                        if run:
-                            t_width[k][run] += 1
-                        t_run[k] = 1
-                        t_run_cycle[k] = cycle
-                complete = cycle + latency
-                fu_free[k][unit] = cycle + 1
-                if dest >= 0:
-                    regs[dest] = complete
-                if not is_branch and complete > last_event[k]:
-                    last_event[k] = complete
-                if records[k] is not None:
-                    records[k].append((
-                        cycle,
-                        cycle + p_brlat[k] if is_branch else complete,
-                    ))
-
-                if is_branch:
-                    resolve = cycle + p_brlat[k]
-                    if resolve > last_event[k]:
-                        last_event[k] = resolve
-                    cycle = resolve
-                cycles[k] = cycle
-            index += 1
-            if is_branch and taken:
-                cut = True
-                break
-
-        pos = index
-        if not cut and not is_branch:
-            # Full buffer issued, straight-line tail: the refill is
-            # overlapped, examinable the cycle after the last issue.
-            for k in range(K):
-                cycles[k] += 1
-
-    details: List[Dict[str, float]] = [{}] * K
-    if telemetry:
-        t_occ, t_flushes, t_flush_cycles = window_stats(compiled, units)
-        details = []
-        for k in range(K):
-            run = t_run[k]
-            if run:
-                t_width[k][run] += 1
-            details.append(
-                SimTelemetry(
-                    instructions=compiled.n,
-                    cycles=max(last_event[k], 1),
-                    stall_cycles={},
-                    fu_busy_cycles=_closed_busy(
-                        compiled, p_lat[k], p_brlat[k]
-                    ),
-                    issue_width={
-                        w: c for w, c in enumerate(t_width[k]) if c
-                    },
-                    occupancy=t_occ,
-                    flushes=t_flushes,
-                    flush_cycles=t_flush_cycles,
-                ).to_detail()
-            )
-
-    return [
-        _result(compiled, item.simulator, item.config, max(last_event[k], 1),
-                details[k])
-        for k, item in enumerate(group)
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -1292,7 +723,8 @@ def _sweep_ooo(compiled, units, enforce_war, group) -> List[SimulationResult]:
 # ----------------------------------------------------------------------
 
 class BatchBackend(Backend):
-    """Sweep-shaped replay: group by structure key, share the analysis."""
+    """Sweep-shaped replay: out-of-order members share the buffer
+    analysis; every other member takes its per-spec loop."""
 
     name = "batch"
     counter_names = ("fast_runs", "sweeps", "fallback_runs")
@@ -1312,41 +744,25 @@ class BatchBackend(Backend):
                     _scalar_only(item.simulator)
         count_run("batch", "sweeps")
 
-        groups: Dict[Tuple, List[int]] = {}
+        # ``ooo`` members group by (issue width, WAR policy); the key
+        # ``None`` collects the per-spec members.
+        groups: Dict[Optional[Tuple[int, bool]], List[int]] = {}
         for i, item in enumerate(items):
-            family = family_of(item.simulator)
-            if family not in _BATCHED_FAMILIES:
-                key: Tuple = ("fallback",)
-            elif family == "inorder":
-                key = ("inorder", item.simulator.issue_units)
-            elif family == "ooo":
-                key = (
-                    "ooo",
-                    item.simulator.issue_units,
-                    item.simulator.enforce_war,
-                )
-            else:
-                key = (family,)
+            sim = item.simulator
+            key = None
+            if family_of(sim) == "ooo":
+                key = (sim.issue_units, sim.enforce_war)
             groups.setdefault(key, []).append(i)
 
         results: List[SimulationResult] = [None] * len(items)  # type: ignore
         for key, indices in groups.items():
             group = [items[i] for i in indices]
-            family = key[0]
-            if family == "fallback":
-                python = get_backend("python")
+            if key is None:
                 count_run("batch", "fallback_runs", len(group))
-                batch = python.simulate_sweep(trace, group)
+                batch = get_backend("python").simulate_sweep(trace, group)
             else:
                 count_run("batch", "fast_runs", len(group))
-                if family == "scoreboard":
-                    batch = _sweep_scoreboard(compiled, group)
-                elif family == "cdc6600":
-                    batch = _sweep_cdc6600(compiled, group)
-                elif family == "inorder":
-                    batch = _sweep_inorder(compiled, key[1], group)
-                else:
-                    batch = _sweep_ooo(compiled, key[1], key[2], group)
+                batch = _sweep_ooo(compiled, key[0], key[1], group)
             for i, result in zip(indices, batch):
                 results[i] = result
         return results

@@ -203,7 +203,7 @@ def section33(sizes: Sizes = None) -> Dict[str, float]:
     }
 
 
-#: Experiment id -> builder, for backward compatibility (the runner and
+#: Experiment id -> builder, for backward compatibility (the CLI and
 #: benchmarks now go through :mod:`repro.api`, which uses the plans).
 EXPERIMENTS = {
     table_id: globals()[table_id] for table_id in sorted(PLAN_BUILDERS)

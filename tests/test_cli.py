@@ -108,33 +108,72 @@ class TestParser:
         code, out = run_cli(capsys, "tables", "section33")
         assert code == 0
         assert "0.50" in out
+        assert "paper 0.72" in out
 
-    def test_tables_forwards_workers_and_cache_flags(self, capsys, monkeypatch):
-        import repro.api as api
-        from repro.harness.engine import EngineStats
-        from repro.harness.tables import ResultTable
+    def test_tables_rejects_unknown_table(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["tables", "table99"])
 
-        seen = {}
-
-        def fake(table_id, *, compare=False, workers=None, cache=True, **kw):
-            seen.update(table_id=table_id, workers=workers, cache=cache)
-            table = ResultTable(
-                table_id=table_id,
-                title="fake",
-                columns=("M11BR5",),
-                rows=(("r", {"M11BR5": 1.0}),),
-            )
-            return api.TableRun(
-                table=table,
-                stats=EngineStats(table_id=table_id, cells=1, workers=1),
-            )
-
-        monkeypatch.setattr(api, "run_table", fake)
+    def test_tables_forwards_workers_and_cache_flags(
+        self, capsys, fake_run_table
+    ):
         code, out = run_cli(
             capsys, "tables", "table3", "--workers", "2", "--no-cache"
         )
         assert code == 0
-        assert seen == {"table_id": "table3", "workers": 2, "cache": False}
+        assert "fake table" in out and "0.25" in out
+        assert fake_run_table == [
+            {"table_id": "table3", "compare": False, "workers": 2,
+             "cache": False}
+        ]
+
+    def test_tables_compare_prints_paper_numbers(
+        self, capsys, fake_run_table
+    ):
+        code, out = run_cli(capsys, "tables", "table1", "--compare")
+        assert code == 0
+        assert "Paper Table 1" in out
+        assert "relative deviation" in out
+        assert fake_run_table[0]["compare"] is True
+
+    def test_tables_all_runs_every_table(self, capsys, fake_run_table):
+        import repro.api as api
+
+        code, _ = run_cli(capsys, "tables", "all")
+        assert code == 0
+        assert [c["table_id"] for c in fake_run_table] == list(
+            api.list_tables()
+        )
+
+
+@pytest.fixture
+def fake_run_table(monkeypatch):
+    """Stub ``api.run_table`` with a one-cell table; records each call."""
+    import repro.api as api
+    from repro.harness.engine import EngineStats
+    from repro.harness.tables import ResultTable
+
+    calls = []
+
+    def fake(table_id, *, compare=False, workers=None, cache=True, **kw):
+        calls.append(
+            {"table_id": table_id, "compare": compare,
+             "workers": workers, "cache": cache}
+        )
+        table = ResultTable(
+            table_id=table_id,
+            title="fake table",
+            columns=("M11BR5",),
+            rows=(("scalar/CRAY-like", {"M11BR5": 0.25}),),
+        )
+        return api.TableRun(
+            table=table,
+            stats=EngineStats(table_id=table_id, cells=1, workers=1),
+            reference=api.PAPER_TABLES.get(table_id),
+        )
+
+    monkeypatch.setattr(api, "run_table", fake)
+    return calls
 
 
 class TestVectorFlag:
@@ -161,6 +200,11 @@ class TestSweepCommand:
         assert code == 0
         assert "sweep: 2 machines x 2 traces" in out
         assert "cray" in out and "ooo:2" in out
+        from repro.core import fastpath
+
+        if fastpath.enabled():
+            # ooo:2 takes the batch kernel; cray takes its per-spec loop.
+            assert "via 2 batched sweeps; 2 per-spec replays;" in out
 
     def test_sweep_backend_flag(self, capsys):
         code, out = run_cli(

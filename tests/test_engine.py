@@ -415,10 +415,12 @@ class TestSweepGrouping:
         )
         counters = cold.stats.metrics["counters"]
         assert counters["fastpath.batch.sweeps"] > 0
-        assert counters["fastpath.batch.fast_runs"] > 0
-        assert cold.manifest.counter("fastpath.batch.sweeps") == (
-            counters["fastpath.batch.sweeps"]
-        )
+        # table1's single-issue machines have no batch kernel: every
+        # fast-eligible cell is a counted per-spec replay.
+        assert counters["fastpath.batch.fallback_runs"] > 0
+        assert counters.get("fastpath.batch.fast_runs", 0) == 0
+        for key in ("fastpath.batch.sweeps", "fastpath.batch.fallback_runs"):
+            assert cold.manifest.counter(key) == counters[key]
 
 
 class TestDiskCacheUnit:

@@ -384,7 +384,13 @@ def test_oracle_routes_replays_through_batch_sweeps():
     assert report.ok
     stats = fastpath.stats()
     assert stats["batch.sweeps"] >= 1
-    assert stats["batch.fast_runs"] >= 10
+    ooo = [s for s in DEFAULT_ORACLE_MACHINES if s.startswith("ooo")]
+    perspec = [
+        s for s in DEFAULT_ORACLE_MACHINES
+        if s != "simple" and not s.startswith("ooo")
+    ]
+    assert stats["batch.fast_runs"] == len(ooo) == 4
+    assert stats["batch.fallback_runs"] == len(perspec) == 18
 
 
 # ----------------------------------------------------------------------
@@ -453,20 +459,26 @@ class TestGatingAndStats:
         assert stats["batch.fast_runs"] == 1
 
     def test_fast_runs_attributed_per_backend(self):
-        simulator = build_simulator("inorder:2")
+        """One mixed batch sweep: only the ``ooo`` member takes the batch
+        kernel; the rest are counted per-spec replays.  A python-backend
+        sweep attributes every member to ``python``."""
+        specs = ("cray", "cdc6600", "inorder:2", "ooo:2", "tomasulo")
+        items = [(build_simulator(spec), M11BR5) for spec in specs]
         fastpath.reset_stats()
-        fastpath.simulate_sweep(
-            TRACES[4], [(simulator, M11BR5)], backend="batch"
-        )
-        fastpath.simulate_sweep(
-            TRACES[4], [(simulator, M11BR5)], backend="python"
-        )
+        results = fastpath.simulate_sweep(TRACES[4], items, backend="batch")
+        fastpath.simulate_sweep(TRACES[4], items, backend="python")
         stats = fastpath.stats()
+        assert stats["batch.sweeps"] == 1
         assert stats["batch.fast_runs"] == 1
-        assert stats["python.fast_runs"] >= 1
+        assert stats["batch.fallback_runs"] == len(specs) - 1
+        assert stats["python.fast_runs"] == 2 * len(specs) - 1
         assert stats["fast_runs"] == (
             stats["batch.fast_runs"] + stats["python.fast_runs"]
         )
+        for spec, (sim, config), result in zip(specs, items, results):
+            ref = sim.reference_simulate(TRACES[4], config)
+            assert result.cycles == ref.cycles, spec
+            assert result.issue_rate == ref.issue_rate, spec
 
     def test_no_fast_path_machine_falls_back_inside_batch(self):
         """RUU-with-predictor and the simple machine never take a
