@@ -108,7 +108,16 @@ class TestParser:
         code, out = run_cli(capsys, "tables", "section33")
         assert code == 0
         assert "0.50" in out
-        assert "paper 0.72" in out
+
+    def test_tables_section33_prints_paper_value(self, capsys, monkeypatch):
+        import repro.api as api
+
+        monkeypatch.setattr(
+            api, "section33", lambda: {"scalar": 0.6, "vectorizable": 0.7}
+        )
+        code, out = run_cli(capsys, "tables", "section33")
+        assert code == 0
+        assert "0.60" in out and "paper 0.72" in out
 
     def test_tables_rejects_unknown_table(self, capsys):
         with pytest.raises(SystemExit):
@@ -121,11 +130,16 @@ class TestParser:
             capsys, "tables", "table3", "--workers", "2", "--no-cache"
         )
         assert code == 0
-        assert "fake table" in out and "0.25" in out
         assert fake_run_table == [
             {"table_id": "table3", "compare": False, "workers": 2,
              "cache": False}
         ]
+
+    def test_tables_runs_a_table_via_api(self, capsys, fake_run_table):
+        code, out = run_cli(capsys, "tables", "table1")
+        assert code == 0
+        assert "fake table" in out and "0.25" in out
+        assert [c["table_id"] for c in fake_run_table] == ["table1"]
 
     def test_tables_compare_prints_paper_numbers(
         self, capsys, fake_run_table
