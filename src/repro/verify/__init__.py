@@ -22,6 +22,7 @@ from .fuzz import FuzzSpec, fuzz_trace, kernel_calibrated_spec
 from .invariants import (
     InvariantViolation,
     MachineProfile,
+    ObservedReplay,
     check_invariants,
     profile_for_spec,
 )
@@ -42,6 +43,7 @@ __all__ = [
     "FuzzSpec",
     "InvariantViolation",
     "MachineProfile",
+    "ObservedReplay",
     "OracleReport",
     "OracleViolation",
     "OrderingEdge",

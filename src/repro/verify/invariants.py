@@ -31,9 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
+from ..core import fastpath
 from ..core.base import Simulator
 from ..core.config import MachineConfig
 from ..core.registry import build_simulator, parse_spec
+from ..core.result import SimulationResult
 from ..isa import Register
 from ..obs.events import EventCollector, EventKind, SimEvent
 from ..trace import Trace
@@ -162,6 +164,27 @@ def profile_for_spec(spec: str) -> MachineProfile:
 
 
 @dataclass(frozen=True)
+class ObservedReplay:
+    """One replay :func:`check_invariants` ran with an event collector.
+
+    The oracle's ``fastpath-dual`` check reads it instead of replaying
+    the same reference loop again (see :func:`repro.verify.oracle.
+    run_oracle`).
+
+    Attributes:
+        result: what the observed replay reported.
+        events: the event stream it emitted.
+        fast_served: a compiled fast loop ran during the replay (the
+            fast-path run counter moved), so *result* is not the
+            reference loop's and must not stand in for it.
+    """
+
+    result: SimulationResult
+    events: List[SimEvent]
+    fast_served: bool
+
+
+@dataclass(frozen=True)
 class InvariantViolation:
     """One broken invariant on one (trace, machine, config) replay.
 
@@ -198,20 +221,34 @@ def check_invariants(
     *,
     simulator: Optional[Simulator] = None,
     profile: Optional[MachineProfile] = None,
+    replays: Optional[Dict[str, ObservedReplay]] = None,
 ) -> List[InvariantViolation]:
     """Replay *trace* on the machine for *spec* and check every invariant.
 
     Passing *simulator* substitutes a specific instance (used by the
     test suite to aim the checker at deliberately broken machines while
     keeping *spec* as the profile key).
+
+    Passing *replays* records the observed replay under *spec* for the
+    oracle to reuse.  Only a collector-attached replay of the spec's own
+    registry machine is recorded: an eventless machine or an injected
+    *simulator* leaves *replays* untouched.
     """
     profile = profile or profile_for_spec(spec)
     sim = simulator if simulator is not None else build_simulator(spec)
 
     collector = EventCollector()
+    keep = replays is not None and simulator is None and profile.emits_events
+    fast_runs = fastpath.stats()["fast_runs"] if keep else 0
     result = sim.simulate_observed(
         trace, config, collector if profile.emits_events else None
     )
+    if keep:
+        replays[spec] = ObservedReplay(
+            result=result,
+            events=collector.events,
+            fast_served=fastpath.stats()["fast_runs"] != fast_runs,
+        )
 
     violations: List[InvariantViolation] = []
 

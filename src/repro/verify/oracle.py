@@ -19,11 +19,13 @@ is exact -- no floating-point tolerance needed):
   buffer of one;
 * **fastpath duals** -- any machine exposing a ``reference_simulate``
   method (the scoreboard family, the in-order and out-of-order
-  multi-issue machines, the RUU, Tomasulo and CDC6600 models -- every
-  machine whose default :meth:`simulate` dispatches to the compiled
-  fast path in :mod:`repro.core.fastpath`) must report the same cycle
-  count from both paths; the nightly fuzz shards replay this check over
-  thousands of seeds.
+  multi-issue machines, the RUU, speculative, Tomasulo and CDC6600
+  models -- every machine whose default :meth:`simulate` dispatches to
+  the compiled fast path in :mod:`repro.core.fastpath`) must report the
+  same cycle count from both paths; the nightly fuzz shards replay this
+  check over thousands of seeds.  Where the invariant checker already
+  ran the same reference loop with a collector, that replay is reused
+  rather than run again (see :func:`run_oracle`).
 
 The edge list was calibrated empirically over ~12,000 fuzzed traces
 (all four memory/branch variants, trace shapes from length-1 to
@@ -65,6 +67,7 @@ from ..limits import pseudo_dataflow_schedule, resource_limit
 from ..obs.events import EventCollector
 from ..obs.telemetry import SimTelemetry, telemetry_from_events
 from ..trace import Trace
+from .invariants import ObservedReplay
 
 #: The machine set `repro verify` replays by default: every fixed
 #: registry spec plus representative points of each parameter sweep.
@@ -101,6 +104,14 @@ DEFAULT_ORACLE_MACHINES: Tuple[str, ...] = (
 #: resource throughput bound) and speculates past branches (the
 #: pseudo-dataflow bound serialises every branch at full latency).
 _BOUND_EXEMPT_HEADS = frozenset({"cache", "banked", "spec"})
+
+#: Fast-path families whose ``reference_simulate`` is the event-capable
+#: loop with no hook (``_simulate(trace, config, None)``), so an observed
+#: replay of it is the reference replay.  The scoreboard family and the
+#: CDC 6600 keep a separate verbatim seed loop as their reference.
+_REFERENCE_IS_OBSERVED_LOOP = frozenset(
+    {"inorder", "ooo", "ruu", "spec", "tomasulo"}
+)
 
 
 @dataclass(frozen=True)
@@ -194,6 +205,11 @@ class OracleReport:
     serial_dataflow_makespan: int = 0
     resource_makespan: int = 0
     violations: List[OracleViolation] = field(default_factory=list)
+    #: fastpath-dual checks that read the invariant checker's replay.
+    reused_replays: int = 0
+    #: fastpath-dual checks that ran the reference loop afresh,
+    #: including fallbacks from a reused replay a fast loop served.
+    fresh_replays: int = 0
 
     @property
     def ok(self) -> bool:
@@ -208,6 +224,7 @@ def run_oracle(
     *,
     simulators: Optional[Mapping[str, Simulator]] = None,
     check_telemetry: bool = False,
+    replays: Optional[Mapping[str, ObservedReplay]] = None,
 ) -> OracleReport:
     """Replay *trace* through *machines* and check bounds and orderings.
 
@@ -222,6 +239,16 @@ def run_oracle(
     comparison of the fast loop's aggregate :class:`~repro.obs.telemetry.
     SimTelemetry` record against the event-derived reduction -- the
     nightly telemetry-equality oracle.
+
+    *replays* holds the observed replays :func:`~repro.verify.invariants.
+    check_invariants` already ran on this trace and config.  The
+    fastpath-dual check (and the telemetry reduction) reads one instead
+    of replaying the same loop again: always for a family whose
+    reference loop is its observed loop, and for every fast-path family
+    under *check_telemetry*.  A replay a fast loop served is not reused:
+    the reference loop runs afresh and is counted in
+    :attr:`OracleReport.fresh_replays`.  Injected *simulators* never
+    reuse a replay.
 
     The trace is lowered once up front (a strong reference pins the
     compile-cache entry for the whole run), so the limit calculators,
@@ -284,13 +311,27 @@ def run_oracle(
         reference = getattr(sim, "reference_simulate", None)
         if reference is not None:
             family = fastpath.family_of(sim)
-            collector: Optional[EventCollector] = None
-            if check_telemetry and family is not None:
+            observe = check_telemetry and family is not None
+            replay = None
+            if (
+                replays is not None
+                and (simulators is None or spec not in simulators)
+                and (observe or family in _REFERENCE_IS_OBSERVED_LOOP)
+            ):
+                replay = replays.get(spec)
+            events = None
+            if replay is not None and not replay.fast_served:
+                report.reused_replays += 1
+                ref_result, events = replay.result, replay.events
+            elif observe:
                 # One observed replay serves both the cycle-equality
                 # check and the telemetry reduction below.
+                report.fresh_replays += 1
                 collector = EventCollector()
                 ref_result = sim.simulate_observed(trace, config, collector)
+                events = collector.events
             else:
+                report.fresh_replays += 1
                 ref_result = reference(trace, config)
             ref_cycles = ref_result.cycles
             if result.cycles != ref_cycles:
@@ -308,11 +349,11 @@ def run_oracle(
                         ),
                     )
                 )
-            elif collector is not None:
+            elif observe:
                 fast_telemetry = SimTelemetry.from_detail(result.detail)
                 if fast_telemetry is not None:
                     expected = telemetry_from_events(
-                        collector.events,
+                        events,
                         trace=trace,
                         cycles=ref_cycles,
                         family=family,

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import fastpath
 from ..core.config import STANDARD_CONFIGS, MachineConfig
 from ..core.registry import build_simulator
 from ..trace import Trace, write_trace
 from .fuzz import FuzzSpec, fuzz_trace
-from .invariants import check_invariants, profile_for_spec
+from .invariants import ObservedReplay, check_invariants, profile_for_spec
 from .oracle import DEFAULT_EDGES, DEFAULT_ORACLE_MACHINES, run_oracle
 from .shrink import shrink_trace
 
@@ -132,6 +132,12 @@ class VerifyReport:
     shrink_crashes: int = 0
     #: The first of them: machine spec, candidate length, exception.
     first_shrink_crash: Optional[str] = None
+    #: fastpath-dual checks that read the invariant checker's replay,
+    #: summed over the seed passes (:attr:`OracleReport.reused_replays`).
+    reused_replays: int = 0
+    #: fastpath-dual checks that ran a reference loop afresh, fallbacks
+    #: included (:attr:`OracleReport.fresh_replays`).
+    fresh_replays: int = 0
 
     @property
     def ok(self) -> bool:
@@ -151,26 +157,36 @@ def _first_violation(
     machines: Sequence[str],
     *,
     check_telemetry: bool = False,
+    report: Optional[VerifyReport] = None,
 ):
     """All-layer check pass; returns (violation, checks_run) with the
     first violation found (or None).
 
     The trace is compiled once here (strong reference held for the whole
     pass), so the oracle's limit calculators and every fast-path machine
-    across all specs share one lowering per seed.
+    across all specs share one lowering per seed.  The invariant
+    checker's observed replays are handed to the oracle, so each
+    machine's reference loop runs once per pass where the two would
+    replay the same loop; the oracle's replay counts are added to
+    *report* when given.
     """
     compiled = fastpath.compile_trace(trace)  # noqa: F841 -- keepalive
     checks = 0
+    replays: Dict[str, ObservedReplay] = {}
     for spec in machines:
         checks += 1
-        violations = check_invariants(trace, spec, config)
+        violations = check_invariants(trace, spec, config, replays=replays)
         if violations:
             return violations[0], checks
     checks += 1
     oracle = run_oracle(
         trace, config, machines, DEFAULT_EDGES,
         check_telemetry=check_telemetry,
+        replays=replays,
     )
+    if report is not None:
+        report.reused_replays += oracle.reused_replays
+        report.fresh_replays += oracle.fresh_replays
     if oracle.violations:
         return oracle.violations[0], checks
     return None, checks
@@ -302,6 +318,7 @@ def run_verification(
         violation, checks = _first_violation(
             trace, config, options.machines,
             check_telemetry=options.check_telemetry,
+            report=report,
         )
         report.seeds_run += 1
         report.checks_run += checks

@@ -24,10 +24,14 @@ from repro.core.scoreboard import (
     serial_memory_machine,
 )
 from repro.obs.events import EventCollector, EventKind, SimEvent, tee
+from repro.verify import fuzz_trace
 
 CONFIGS = ("M11BR5", "M5BR2")
 
-#: One spec per machine family that supports event hooks.
+#: One spec per machine family that supports event hooks, plus every
+#: other event-emitting spec of the default verify oracle (the oracle
+#: reads the invariant checker's observed replays of these in place of
+#: a reference_simulate replay).
 HOOKED_SPECS = (
     "cray",
     "serialmemory",
@@ -35,6 +39,15 @@ HOOKED_SPECS = (
     "inorder:4",
     "ooo:4",
     "ruu:2:50",
+    "cdc6600",
+    "inorder:1",
+    "ooo:4:1bus",
+    "ruu:4:50:1bus",
+    "spec:50:none",
+    "spec:50:btfn",
+    "spec:50:2bit",
+    "spec:50:perfect",
+    "spec:50:wrong",
 )
 
 
@@ -92,6 +105,22 @@ class TestHooksDoNotChangeResults:
         observed = machine.simulate_observed(trace, config, collector)
         assert observed.cycles == baseline.cycles
         assert collector.events, f"{spec} emitted no events"
+
+    @pytest.mark.parametrize("config_name", CONFIGS)
+    @pytest.mark.parametrize("spec", HOOKED_SPECS)
+    def test_observed_replay_equals_reference(
+        self, small_traces, spec, config_name
+    ):
+        """The contract the verify oracle's replay reuse rests on."""
+        config = config_by_name(config_name)
+        machine = build_simulator(spec)
+        for trace in (small_traces[5], small_traces[12], fuzz_trace(3)):
+            observed = machine.simulate_observed(
+                trace, config, EventCollector()
+            )
+            reference = machine.reference_simulate(trace, config)
+            assert observed.cycles == reference.cycles
+            assert observed.detail == reference.detail
 
     @pytest.mark.parametrize("spec", HOOKED_SPECS)
     def test_hook_is_restored_after_observed_run(self, small_traces, spec):

@@ -12,14 +12,19 @@ from dataclasses import replace as dc_replace
 
 import pytest
 
-from repro.core import M11BR5, M5BR2, MachineConfig
+from repro import api
+from repro.core import M11BR5, M5BR2, MachineConfig, fastpath
 from repro.core.registry import build_simulator
 from repro.trace import subset_trace
 from repro.verify import (
     DEFAULT_EDGES,
+    DEFAULT_ORACLE_MACHINES,
     OrderingEdge,
+    VerifyOptions,
+    check_invariants,
     fuzz_trace,
     run_oracle,
+    run_verification,
     shrink_trace,
 )
 from repro.verify.fuzz import FuzzSpec
@@ -210,6 +215,126 @@ class TestBrokenMachineCaught:
             violation.check in ("exact-equality", "partial-order")
             for violation in report.violations
         )
+
+
+def _observed_replays(trace, config, machines):
+    """The replays the runner's invariant pass hands the oracle."""
+    replays = {}
+    for spec in machines:
+        assert not check_invariants(trace, spec, config, replays=replays)
+    return replays
+
+
+class TestReplayReuse:
+    """The fastpath-dual check reads the invariant checker's replays."""
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_default_oracle_counts_per_seed(self, telemetry):
+        # 18 specs whose reference loop is their observed loop reuse
+        # the invariant replay; the scoreboard family and the CDC 6600
+        # keep a verbatim seed loop, replayed afresh unless telemetry
+        # already asks for the observed loop; "simple" has no dual.
+        trace = fuzz_trace(0)
+        replays = _observed_replays(trace, M11BR5, DEFAULT_ORACLE_MACHINES)
+        report = run_oracle(
+            trace, M11BR5, replays=replays, check_telemetry=telemetry
+        )
+        assert report.ok, [str(v) for v in report.violations]
+        expected = (22, 0) if telemetry else (18, 4)
+        assert (report.reused_replays, report.fresh_replays) == expected
+
+        campaign = run_verification(
+            VerifyOptions(seeds=3, check_telemetry=telemetry)
+        )
+        assert campaign.ok
+        assert campaign.reused_replays == 3 * expected[0]
+        assert campaign.fresh_replays == 3 * expected[1]
+
+    def test_without_replays_every_dual_runs_fresh(self):
+        report = run_oracle(fuzz_trace(0), M11BR5)
+        assert (report.reused_replays, report.fresh_replays) == (0, 22)
+
+    def test_eventless_specs_never_count_as_reused(self):
+        machines = ("simple", "cache:16", "banked:4")
+        trace = fuzz_trace(1)
+        assert _observed_replays(trace, M11BR5, machines) == {}
+        campaign = run_verification(VerifyOptions(seeds=2, machines=machines))
+        assert campaign.ok
+        assert campaign.reused_replays == 0
+
+    def test_injected_simulators_never_reuse(self):
+        spec = "ruu:2:10"
+        trace = fuzz_trace(2)
+        replays = _observed_replays(trace, M11BR5, (spec,))
+        report = run_oracle(
+            trace, M11BR5, machines=(spec,), edges=(),
+            simulators={spec: build_simulator(spec)}, replays=replays,
+        )
+        assert (report.reused_replays, report.fresh_replays) == (0, 1)
+
+    def test_injected_invariant_simulator_records_no_replay(self):
+        replays = {}
+        check_invariants(
+            fuzz_trace(2), "ruu:2:10", M11BR5,
+            simulator=build_simulator("ruu:2:10"), replays=replays,
+        )
+        assert replays == {}
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_fast_served_replay_falls_back_to_fresh(
+        self, monkeypatch, telemetry
+    ):
+        # A dispatch gate that ignores the collector sends the "observed"
+        # replay through the compiled loop: the checker must flag it and
+        # the oracle must replay the reference loop instead.
+        import repro.core.ruu as ruu_module
+
+        spec = "ruu:2:10"
+        trace = fuzz_trace(3)
+        replays = {}
+        with monkeypatch.context() as patch:
+            patch.setattr(ruu_module, "hook_installed", lambda sim: False)
+            check_invariants(trace, spec, M11BR5, replays=replays)
+        assert replays[spec].fast_served
+        assert replays[spec].events == []
+        report = run_oracle(
+            trace, M11BR5, machines=(spec,), edges=(),
+            replays=replays, check_telemetry=telemetry,
+        )
+        assert report.ok, [str(v) for v in report.violations]
+        assert (report.reused_replays, report.fresh_replays) == (0, 1)
+
+
+def _plant_off_by_one(monkeypatch, spec):
+    """Make the oracle's sweep report one extra cycle for *spec*."""
+    name = build_simulator(spec).name
+    sweep = fastpath.simulate_sweep
+
+    def planted(trace, items, *args, **kwargs):
+        results = sweep(trace, items, *args, **kwargs)
+        return [
+            dc_replace(result, cycles=result.cycles + 1)
+            if item[0].name == name else result
+            for item, result in zip(items, results)
+        ]
+
+    monkeypatch.setattr(fastpath, "simulate_sweep", planted)
+
+
+class TestPlantedFastResultCaught:
+    """A one-cycle-off fast result is still a fastpath-dual failure,
+    whether the dual reads a reused replay or a fresh seed loop."""
+
+    @pytest.mark.parametrize("telemetry", [False, True])
+    @pytest.mark.parametrize("spec", ["ruu:2:10", "cray"])
+    def test_verify_machines_reports_dual(self, monkeypatch, spec, telemetry):
+        _plant_off_by_one(monkeypatch, spec)
+        report = api.verify_machines(
+            1, shrink=False, check_telemetry=telemetry
+        )
+        assert [(f.check, f.machine) for f in report.failures] == [
+            ("fastpath-dual", spec)
+        ]
 
 
 class TestEdges:
