@@ -74,7 +74,6 @@ from .trace import (
     Trace,
     TraceStats,
     default_cache_dir,
-    read_trace,
     trace_stats,
     write_trace,
 )

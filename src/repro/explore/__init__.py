@@ -411,8 +411,8 @@ def explore(
         audit_errors=audit_errors,
         recall=recall,
         true_frontier_size=true_frontier_size,
-        simulate_seconds=sweep.wall_seconds,
-        result_hits=sweep.result_hits,
+        simulate_seconds=sweep.stats.wall_seconds,
+        result_hits=sweep.stats.result_hits,
         manifest=manifest,
     )
 
@@ -479,13 +479,13 @@ def _explore_manifest(
         config={
             "space": space.to_key(),
             "model_version": MODEL_VERSION,
-            "workers": sweep.workers,
+            "workers": sweep.stats.workers,
             "cache_enabled": cache is not None,
         },
         timings={
             "wall_seconds": simulate_ended - run_started,
             "screen_seconds": result.seconds,
-            "simulate_seconds": sweep.wall_seconds,
+            "simulate_seconds": sweep.stats.wall_seconds,
         },
         metrics=registry.snapshot(),
         spans=tracer.to_payload(),

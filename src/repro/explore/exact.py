@@ -3,8 +3,9 @@
 The screen is a closed-form approximation; this stage replays the few
 candidates that matter -- predicted frontier, verification band, audit
 sample -- through the real simulators
-(:func:`repro.harness.engine.run_source_sweep`, which sweeps every spec
-over each source trace with the batch fast-path backend) and reports how
+(:func:`repro.harness.engine.run_source_sweep`: an engine plan with one
+row per source and one column per spec, each source's trace swept
+through every spec with the batch fast-path backend) and reports how
 good the approximation was: per-candidate relative error, audit-sample
 mean/max error, and frontier recall against an exhaustively simulated
 grid when one is available.
@@ -17,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..harness.engine import SourceSweepRun, run_source_sweep
+from ..harness.engine import PlanRun, run_source_sweep
 from ..harness.progress import ProgressCallback
 from ..trace import DiskCache
 from .screen import pareto_frontier
@@ -35,7 +36,7 @@ def simulate_specs(
     backend: str = "auto",
     label: str = "explore",
     progress: Optional[ProgressCallback] = None,
-) -> "tuple[Dict[str, float], SourceSweepRun]":
+) -> "tuple[Dict[str, float], PlanRun]":
     """Simulate every spec over every source; harmonic-mean rates.
 
     Returns ``(spec -> aggregate issue rate, the sweep run)``.  The
@@ -47,11 +48,11 @@ def simulate_specs(
         config=config, workers=workers, cache=cache, backend=backend,
         label=label, progress=progress,
     )
-    inverse: Dict[str, float] = {spec: 0.0 for spec in specs}
-    for outcome in run.outcomes:
-        inverse[outcome.machine] += 1.0 / outcome.rate
     rates = {
-        spec: len(sources) / total for spec, total in inverse.items()
+        spec: len(sources) / sum(
+            1.0 / run.table.value(source, spec) for source in sources
+        )
+        for spec in specs
     }
     return rates, run
 

@@ -9,28 +9,12 @@ from .aggregate import (
 from .engine import EngineStats, PlanRun, run_plan
 from .plans import PLAN_BUILDERS, Cell, ExperimentPlan, build_plan
 from .progress import ProgressCallback, ProgressEvent
-from .experiments import (
-    EXPERIMENTS,
-    class_traces,
-    per_loop_table,
-    section33,
-    table1,
-    table2,
-    table3,
-    table4,
-    table5,
-    table6,
-    table7,
-    table8,
-    table9,
-    table10,
-)
+from .experiments import class_traces, per_loop_table, section33
 from .paper import PAPER_SECTION33, PAPER_TABLES
 from .tables import ResultTable, compare_tables
 
 __all__ = [
     "Cell",
-    "EXPERIMENTS",
     "EngineStats",
     "ExperimentPlan",
     "PAPER_SECTION33",
@@ -50,14 +34,4 @@ __all__ = [
     "per_loop_table",
     "relative_error",
     "section33",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "table8",
-    "table9",
-    "table10",
 ]

@@ -3,7 +3,10 @@
 The engine takes an :class:`~repro.harness.plans.ExperimentPlan`,
 evaluates every cell -- in-process for ``workers=1``, over a
 ``ProcessPoolExecutor`` otherwise -- and merges the per-cell values back
-into a :class:`~repro.harness.tables.ResultTable`.
+into a :class:`~repro.harness.tables.ResultTable`.  There is one
+execution path: the paper's tables and the explorer's source sweeps
+(:func:`run_source_sweep`) are both plans run by :func:`run_plan`, and
+every cell names its trace by one trace-source spec.
 
 Determinism: cell values depend only on the cell (trace content and
 machine timing are fully deterministic), and the merge harmonic-means
@@ -11,14 +14,16 @@ grouped values in *plan order*, never in completion order.  Parallel
 output is therefore bit-identical to serial output.
 
 Persistence: when given a :class:`~repro.trace.DiskCache`, the parent
-looks up each cell result by content hash once, before any fan-out:
-hits become outcomes on the spot, and only the groups with a miss are
-evaluated -- in-process when one group misses, over a pool otherwise --
-so a fully warm table forks nothing.  Evaluation looks each trace up
-by content hash before building it, and stores whatever it had to
-compute.  A corrupted or missing entry is indistinguishable from a cold
-cache -- it only costs time (and is counted: corruption rebuilds
-surface in the metrics and the footer).
+looks up each cell result by content hash (:func:`cell_key`) once,
+before any fan-out: hits become outcomes on the spot, and only the
+groups with a miss are evaluated -- in-process when one group misses,
+over a pool otherwise -- so a fully warm table forks nothing.
+Evaluation resolves each trace once per process (:func:`_resolve_trace`)
+and stores whatever it had to compute.  A corrupted or missing entry is
+indistinguishable from a cold cache -- it only costs time (and is
+counted: corruption rebuilds surface in the metrics and the footer).  A
+``file:`` archive can change under the same path, so its traces and
+results are never memoised or stored.
 
 Observability: every evaluation aggregates structured metrics
 (:mod:`repro.obs.metrics`) -- per-cell wall time, queue wait, cache
@@ -51,10 +56,10 @@ from ..obs import (
     new_run_id,
     write_manifest,
 )
-from ..trace import DiskCache, Trace, default_cache_dir
+from ..trace import GLOBAL_TRACE_CACHE, DiskCache, Trace, default_cache_dir
 from ..trace.sources import trace_source
 from .aggregate import arithmetic_mean, harmonic_mean
-from .plans import Cell, ExperimentPlan
+from .plans import Cell, ExperimentPlan, kernel_identity, plan_sources
 from .progress import ProgressCallback, ProgressEvent
 from .tables import ResultTable
 
@@ -62,8 +67,6 @@ from .tables import ResultTable
 #: the timing models or the record schema.  v2: cell records carry the
 #: result's ``detail`` mapping (fast-path ``tlm.*`` telemetry included).
 RESULT_SCHEMA_VERSION = 2
-
-_LIMIT_COLUMNS = ("pseudo-dataflow", "resource", "actual")
 
 #: DiskCache counter key -> metric name published per cell.
 _CACHE_METRIC_NAMES = {
@@ -110,8 +113,8 @@ def _add_metrics(into: Dict[str, float], deltas: Mapping[str, float]) -> None:
         into[name] = into.get(name, 0.0) + value
 
 
-def _telemetry_metrics(record: Mapping[str, Any]) -> Dict[str, float]:
-    """A cell record's ``tlm.*`` detail entries as ``sim.*`` metrics.
+def _fold_telemetry(into: Dict[str, float], record: Mapping[str, Any]) -> None:
+    """Add a cell record's ``tlm.*`` detail entries to *into* as ``sim.*``.
 
     The rename marks the aggregation boundary: per-replay telemetry
     (``tlm.stall.RAW`` on one result) becomes a run-level counter
@@ -121,13 +124,12 @@ def _telemetry_metrics(record: Mapping[str, Any]) -> Dict[str, float]:
     """
     detail = record.get("detail")
     if not detail:
-        return {}
+        return
     plen = len(TELEMETRY_PREFIX)
-    return {
-        "sim." + key[plen:]: float(value)
-        for key, value in detail.items()
-        if key.startswith(TELEMETRY_PREFIX)
-    }
+    for key, value in detail.items():
+        if key.startswith(TELEMETRY_PREFIX):
+            name = "sim." + key[plen:]
+            into[name] = into.get(name, 0.0) + float(value)
 
 
 def default_workers() -> int:
@@ -151,17 +153,34 @@ def trace_key(loop: int, n: int) -> Dict[str, Any]:
     }
 
 
-def cell_key(cell: Cell) -> Dict[str, Any]:
-    """Identity of one cell result (table/row/column independent)."""
-    key = trace_key(cell.loop, cell.n)
-    key.update({
-        "kind": "cell",
+def cell_key(cell: Cell) -> Optional[Dict[str, Any]]:
+    """Identity of one cell result (table/row/column independent).
+
+    A kernel cell (``kernel:<loop>:n=<n>``) keys on its trace identity
+    (:func:`trace_key`); a cell over any other source keys on the
+    normalised spec, so equivalent spellings share an entry.  ``None``
+    for a ``file:`` archive, whose results are never stored: the path's
+    content can change.
+    """
+    if cell.loop:
+        key = trace_key(cell.loop, cell.n)
+        key.update({
+            "kind": "cell",
+            "machine": cell.machine,
+            "config": cell.config,
+            "serial": cell.serial,
+            "schema": RESULT_SCHEMA_VERSION,
+        })
+        return key
+    if cell.source.startswith("file:"):
+        return None
+    return {
+        "kind": "source-cell",
         "machine": cell.machine,
+        "source": cell.source,
         "config": cell.config,
-        "serial": cell.serial,
         "schema": RESULT_SCHEMA_VERSION,
-    })
-    return key
+    }
 
 
 # ----------------------------------------------------------------------
@@ -192,11 +211,6 @@ class CellOutcome:
     metrics: Mapping[str, float] = field(default_factory=dict)
 
 
-#: Per-process trace memo: (loop, n) -> verified Trace.  With the default
-#: ``fork`` start method child workers inherit a snapshot and then extend
-#: their own copy.
-_TRACE_MEMO: Dict[Tuple[int, int], Trace] = {}
-
 #: Per-process DiskCache handle, set by the pool initializer.
 _WORKER_CACHE: Optional[DiskCache] = None
 
@@ -207,30 +221,44 @@ def _pool_init(cache_dir: Optional[str]) -> None:
 
 
 def clear_process_memo() -> None:
-    """Forget this process's in-memory trace memo (tests use this)."""
-    _TRACE_MEMO.clear()
+    """Forget this process's in-memory traces (tests use this)."""
+    GLOBAL_TRACE_CACHE.clear()
 
 
 def _resolve_trace(
-    loop: int, n: int, cache: Optional[DiskCache]
+    source: str, cache: Optional[DiskCache]
 ) -> Tuple[Trace, str]:
-    memo_key = (loop, n)
-    trace = _TRACE_MEMO.get(memo_key)
-    if trace is not None:
-        return trace, "memo"
-    if cache is not None:
-        trace = cache.load_trace(trace_key(loop, n))
-        if trace is not None:
-            _TRACE_MEMO[memo_key] = trace
-            return trace, "disk"
-    # The registry resolves kernel:<loop>:n=<n> to build_kernel(...)
-    # .trace(), which verifies against the NumPy reference and memoises
-    # in the process-wide trace cache as well.
-    trace = trace_source(f"kernel:{loop}:n={n}")
-    _TRACE_MEMO[memo_key] = trace
-    if cache is not None:
-        cache.store_trace(trace_key(loop, n), trace)
-    return trace, "built"
+    """The trace of *source* and where it came from.
+
+    ``"memo"``: the process-wide trace memo
+    (:data:`~repro.trace.GLOBAL_TRACE_CACHE`, keyed by the normalised
+    spec; with the default ``fork`` start method pool workers inherit a
+    snapshot and then extend their own copy).  ``"disk"``: a kernel
+    trace's archive in *cache*.  ``"built"``: the trace-source registry,
+    which verifies kernel traces against the NumPy reference; a built
+    kernel trace is archived in *cache*.  Only kernel sources use the
+    archives, and a ``file:`` archive is read afresh every time.
+    """
+    if source.startswith("file:"):
+        return trace_source(source), "built"
+    origin = "memo"
+
+    def build() -> Trace:
+        nonlocal origin
+        loop, n = kernel_identity(source)
+        key = trace_key(loop, n) if loop and cache is not None else None
+        if key is not None:
+            trace = cache.load_trace(key)
+            if trace is not None:
+                origin = "disk"
+                return trace
+        origin = "built"
+        trace = trace_source(source)
+        if key is not None:
+            cache.store_trace(key, trace)
+        return trace
+
+    return GLOBAL_TRACE_CACHE.get_or_build(("source", source), build), origin
 
 
 def _result_record(result: Any) -> Dict[str, Any]:
@@ -259,79 +287,56 @@ def _values_from_record(cell: Cell, record: Mapping[str, Any]) -> Dict[str, floa
 
 
 def _lookup_results(
-    items: List[Any],
-    cache: Optional[DiskCache],
-    key: Callable[[Any], Mapping[str, Any]],
-    hit: Callable[[Any, Mapping[str, Any], Dict[str, float], float], Any],
-) -> Tuple[List[Any], List[Any], Dict[str, float]]:
-    """Look each item's stored result up once, in the calling process.
+    group: List[Tuple[int, Cell]], cache: Optional[DiskCache]
+) -> Tuple[List[CellOutcome], List[Tuple[int, Cell]], Dict[str, float]]:
+    """Look each cell's stored result up once, in the calling process.
 
     The engine's only result-store read, run in the parent before any
-    fan-out by both :func:`run_plan` and :func:`run_source_sweep`.
-    ``hit(item, record, metrics, started)`` turns a stored record into an
-    outcome; *metrics* are the lookup's ``cache.*`` counter deltas and
-    *started* its ``time.monotonic()`` start.  A record ``hit`` cannot
-    decode is a miss like an absent or corrupt entry: it is recomputed
-    and overwritten.  Returns ``(hits, misses, miss_metrics)``: the
-    misses in input order and their lookups' counter deltas summed.
-    Without a cache every item misses.
+    fan-out.  A record that cannot be decoded is a miss like an absent
+    or corrupt entry: it is recomputed and overwritten.  A cell without
+    a :func:`cell_key` (``file:``) misses without a lookup.  Returns
+    ``(hits, misses, miss_metrics)``: the misses in input order and
+    their lookups' ``cache.*`` counter deltas summed.  Without a cache
+    every cell misses.
     """
     if cache is None:
-        return [], list(items), {}
-    hits: List[Any] = []
-    misses: List[Any] = []
+        return [], list(group), {}
+    hits: List[CellOutcome] = []
+    misses: List[Tuple[int, Cell]] = []
     miss_metrics: Dict[str, float] = {}
-    for item in items:
+    for index, cell in group:
+        key = cell_key(cell)
+        if key is None:
+            misses.append((index, cell))
+            continue
         started = time.monotonic()
         before = cache.counters()
-        record = cache.load_result(key(item))
+        record = cache.load_result(key)
         metrics = _cache_deltas(cache, before)
         if record is not None:
             try:
-                hits.append(hit(item, record, metrics, started))
-                continue
+                values = _values_from_record(cell, record)
+                hit_metrics = dict(metrics)
+                _fold_telemetry(hit_metrics, record)
             except (KeyError, TypeError, ValueError, ZeroDivisionError):
                 pass
+            else:
+                ended = time.monotonic()
+                hits.append(CellOutcome(
+                    index=index,
+                    values=values,
+                    seconds=ended - started,
+                    result_hit=True,
+                    trace_source="cached-result",
+                    pid=os.getpid(),
+                    started=started,
+                    ended=ended,
+                    metrics=hit_metrics,
+                ))
+                continue
         _add_metrics(miss_metrics, metrics)
-        misses.append(item)
+        misses.append((index, cell))
     return hits, misses, miss_metrics
-
-
-def _cell_hit(
-    item: Tuple[int, Cell],
-    record: Mapping[str, Any],
-    metrics: Dict[str, float],
-    started: float,
-) -> CellOutcome:
-    index, cell = item
-    values = _values_from_record(cell, record)
-    ended = time.monotonic()
-    return CellOutcome(
-        index=index,
-        values=values,
-        seconds=ended - started,
-        result_hit=True,
-        trace_source="cached-result",
-        pid=os.getpid(),
-        started=started,
-        ended=ended,
-        metrics={**metrics, **_telemetry_metrics(record)},
-    )
-
-
-def evaluate_cell(
-    index: int,
-    cell: Cell,
-    cache: Optional[DiskCache],
-    *,
-    enqueued: Optional[float] = None,
-    metrics: Optional[Mapping[str, float]] = None,
-) -> CellOutcome:
-    """Compute and store one cell, without reading the result store:
-    :func:`evaluate_sweep` of a one-cell group."""
-    return evaluate_sweep(
-        [(index, cell)], cache, enqueued=enqueued, metrics=metrics
-    )[0]
 
 
 def evaluate_sweep(
@@ -344,7 +349,7 @@ def evaluate_sweep(
 ) -> List[CellOutcome]:
     """Compute same-trace cells as one fast-path sweep.
 
-    Every cell in *group* must share ``(loop, n)``; a limits cell has no
+    Every cell in *group* must share one source; a limits cell has no
     machine to sweep and comes alone.  The result store is not read: the
     engine looks every cell up in the parent before any fan-out and
     hands over only the misses, with their lookups' counter deltas as
@@ -352,8 +357,8 @@ def evaluate_sweep(
     :func:`repro.core.fastpath.simulate_sweep` call through *backend* --
     gating is per sweep member, so a hooked or fast-path-disabled member
     still runs its reference loop and the merged table stays
-    bit-identical to per-cell evaluation.  Every result is stored in
-    *cache*, if given.
+    bit-identical to per-cell evaluation.  Every result with a
+    :func:`cell_key` is stored in *cache*, if given.
 
     *enqueued* is the parent's ``time.monotonic()`` reading when the
     group was handed out; the difference to the start here is the
@@ -370,7 +375,7 @@ def evaluate_sweep(
     spans: List[Tuple[str, float, float]] = []
     first = group[0][1]
     mark = time.monotonic()
-    trace, source = _resolve_trace(first.loop, first.n, cache)
+    trace, origin = _resolve_trace(first.source, cache)
     spans.append((f"trace:resolve:{first.loop}", mark, time.monotonic()))
     mark = time.monotonic()
     if first.is_limits:
@@ -401,9 +406,10 @@ def evaluate_sweep(
         _add_metrics(shared, _cache_deltas(cache, counters_before))
     shared.update(_fastpath_deltas(fastpath_before, fastpath.stats()))
     for (_, cell), record in zip(group, records):
-        if cache is not None:
-            cache.store_result(cell_key(cell), record)
-        _add_metrics(shared, _telemetry_metrics(record))
+        key = cell_key(cell) if cache is not None else None
+        if key is not None:
+            cache.store_result(key, record)
+        _fold_telemetry(shared, record)
 
     ended = time.monotonic()
     share = (time.perf_counter() - start) / len(group)
@@ -413,7 +419,7 @@ def evaluate_sweep(
             values=_values_from_record(cell, record),
             seconds=share,
             result_hit=False,
-            trace_source=source if position == 0 else "memo",
+            trace_source=origin if position == 0 else "memo",
             pid=os.getpid(),
             queue_wait=queue_wait if position == 0 else 0.0,
             started=started,
@@ -425,30 +431,27 @@ def evaluate_sweep(
     ]
 
 
-def _run_in_pool(
-    function: Callable[..., Any], task: Mapping[str, Any]
-) -> Any:
-    return function(cache=_WORKER_CACHE, **task)
+def _run_in_pool(task: Mapping[str, Any]) -> List[CellOutcome]:
+    return evaluate_sweep(cache=_WORKER_CACHE, **task)
 
 
 def _fan_out(
-    function: Callable[..., Any],
     tasks: List[Dict[str, Any]],
     cache: Optional[DiskCache],
     workers: int,
-    collect: Callable[[int, Any], None],
+    collect: Callable[[List[CellOutcome]], None],
 ) -> None:
-    """Call ``function(cache=cache, **task)`` once per entry of *tasks*.
+    """Call ``evaluate_sweep(cache=cache, **task)`` once per task.
 
     In-process when ``workers == 1`` or at most one task; otherwise over
     a pool of ``min(workers, len(tasks))`` processes, each with its own
-    handle on *cache*'s root.  ``collect(position, result)`` runs in the
-    parent as each task completes (completion order under a pool), so
-    progress streams while the pool is still busy.
+    handle on *cache*'s root.  ``collect(outcomes)`` runs in the parent
+    as each task completes (completion order under a pool), so progress
+    streams while the pool is still busy.
     """
     if workers == 1 or len(tasks) <= 1:
-        for position, task in enumerate(tasks):
-            collect(position, function(cache=cache, **task))
+        for task in tasks:
+            collect(evaluate_sweep(cache=cache, **task))
         return
     cache_dir = str(cache.root) if cache is not None else None
     with ProcessPoolExecutor(
@@ -456,12 +459,9 @@ def _fan_out(
         initializer=_pool_init,
         initargs=(cache_dir,),
     ) as pool:
-        futures = {
-            pool.submit(_run_in_pool, function, task): position
-            for position, task in enumerate(tasks)
-        }
+        futures = [pool.submit(_run_in_pool, task) for task in tasks]
         for future in as_completed(futures):
-            collect(futures[future], future.result())
+            collect(future.result())
 
 
 # ----------------------------------------------------------------------
@@ -540,7 +540,8 @@ def merge_outcomes(
     merge independent of completion order.  Columns named in the plan's
     ``aggregators`` fold with the arithmetic mean instead (accuracies);
     with ``speedup_base`` set, the ``speedup_columns`` means are divided
-    by the row's base-column mean after folding.
+    by the row's base-column mean after folding.  A group of one value
+    (every cell of a source sweep) passes through unchanged.
     """
     grouped: Dict[Tuple[str, str], List[float]] = {}
     for outcome in sorted(outcomes, key=lambda o: o.index):
@@ -555,7 +556,11 @@ def merge_outcomes(
             if (row, column) not in grouped:
                 continue
             samples = grouped[(row, column)]
-            if folds.get(column) == "amean":
+            if len(samples) == 1:
+                # Its own mean, exactly: 1 / (1 / x) can be an ulp off,
+                # and a source sweep's rates must pass through unrounded.
+                values[column] = samples[0]
+            elif folds.get(column) == "amean":
                 values[column] = arithmetic_mean(samples)
             else:
                 values[column] = harmonic_mean(samples)
@@ -684,22 +689,21 @@ def _sweep_groups(
 ) -> List[Tuple[bool, List[Tuple[int, Cell]]]]:
     """Partition plan cells into sweep groups.
 
-    Simulator cells sharing ``(loop, n)`` -- the same dynamic trace --
-    form one sweep group; limits cells stay singletons (they have no
+    Simulator cells sharing a source -- the same dynamic trace -- form
+    one sweep group; limits cells stay singletons (they have no
     machine to sweep).  Returns ``(is_sweep, [(index, cell), ...])``
     pairs in first-appearance order; the deterministic merge sorts by
     cell index, so grouping never changes the table.
     """
     groups: List[Tuple[bool, List[Tuple[int, Cell]]]] = []
-    by_trace: Dict[Tuple[int, int], List[Tuple[int, Cell]]] = {}
+    by_trace: Dict[str, List[Tuple[int, Cell]]] = {}
     for index, cell in enumerate(plan.cells):
         if cell.is_limits:
             groups.append((False, [(index, cell)]))
             continue
-        key = (cell.loop, cell.n)
-        bucket = by_trace.get(key)
+        bucket = by_trace.get(cell.source)
         if bucket is None:
-            by_trace[key] = bucket = []
+            by_trace[cell.source] = bucket = []
             groups.append((True, bucket))
         bucket.append((index, cell))
     return groups
@@ -768,9 +772,7 @@ def run_plan(
 
     tasks = []
     for _, group in _sweep_groups(plan):
-        hits, misses, metrics = _lookup_results(
-            group, cache, lambda item: cell_key(item[1]), _cell_hit
-        )
+        hits, misses, metrics = _lookup_results(group, cache)
         collect(hits)
         if misses:
             tasks.append(dict(
@@ -779,9 +781,7 @@ def run_plan(
                 backend=backend,
                 enqueued=time.monotonic(),
             ))
-    _fan_out(
-        evaluate_sweep, tasks, cache, workers, lambda _, batch: collect(batch)
-    )
+    _fan_out(tasks, cache, workers, collect)
 
     table = merge_outcomes(plan, outcomes)
     run_ended = time.monotonic()
@@ -823,112 +823,6 @@ def run_plan(
 # Source sweeps: exact (machine spec x trace source) evaluation
 # ----------------------------------------------------------------------
 
-def source_cell_key(machine: str, source: str, config: str) -> Dict[str, Any]:
-    """Identity of one exact (machine, trace source, config) result.
-
-    The *source* must be a normalised trace-source spec
-    (:func:`repro.trace.sources.format_trace_spec`), so equivalent
-    spellings share an entry.
-    """
-    return {
-        "kind": "source-cell",
-        "machine": machine,
-        "source": source,
-        "config": config,
-        "schema": RESULT_SCHEMA_VERSION,
-    }
-
-
-@dataclass(frozen=True)
-class SourceOutcome:
-    """One exact simulation result from a source sweep (picklable)."""
-
-    source: str
-    machine: str
-    config: str
-    instructions: int
-    cycles: int
-    seconds: float
-    result_hit: bool
-    pid: int = 0
-
-    @property
-    def rate(self) -> float:
-        """Sustained issue rate, instructions per cycle."""
-        return self.instructions / self.cycles
-
-
-#: Per-process memo of resolved source traces (spec text -> Trace).
-_SOURCE_MEMO: Dict[str, Trace] = {}
-
-
-def _source_cache(source: str, cache: Optional[DiskCache]) -> Optional[DiskCache]:
-    """*cache*, unless *source* is a ``file:`` archive (never cached: the
-    path's content can change)."""
-    return None if source.startswith("file:") else cache
-
-
-def _evaluate_source_group(
-    specs: Tuple[str, ...],
-    source: str,
-    config_name: str,
-    cache: Optional[DiskCache],
-    backend: str,
-) -> List[SourceOutcome]:
-    """Simulate machine specs against one source as one sweep.
-
-    The specs are the misses of the parent's lookup: they share one
-    trace resolution and one :func:`repro.core.fastpath.simulate_sweep`
-    call, and each result is stored unless the source is a ``file:``
-    archive.
-    """
-    start = time.perf_counter()
-    cache = _source_cache(source, cache)
-    trace = _SOURCE_MEMO.get(source)
-    if trace is None:
-        trace = trace_source(source)
-        _SOURCE_MEMO[source] = trace
-    config = config_by_name(config_name)
-    items = [(build_simulator(spec), config) for spec in specs]
-    results = fastpath.simulate_sweep(trace, items, backend=backend)
-    share = (time.perf_counter() - start) / len(specs)
-    outcomes: List[SourceOutcome] = []
-    for spec, result in zip(specs, results):
-        if cache is not None:
-            cache.store_result(
-                source_cell_key(spec, source, config_name),
-                _result_record(result),
-            )
-        outcomes.append(SourceOutcome(
-            source=source,
-            machine=spec,
-            config=config_name,
-            instructions=result.instructions,
-            cycles=result.cycles,
-            seconds=share,
-            result_hit=False,
-            pid=os.getpid(),
-        ))
-    return outcomes
-
-
-@dataclass(frozen=True)
-class SourceSweepRun:
-    """A finished source sweep, in deterministic (source, spec) order."""
-
-    outcomes: Tuple[SourceOutcome, ...]
-    wall_seconds: float
-    workers: int
-    result_hits: int
-
-    def rate(self, source: str, machine: str) -> float:
-        """The issue rate of one (source, machine) pair."""
-        for outcome in self.outcomes:
-            if outcome.source == source and outcome.machine == machine:
-                return outcome.rate
-        raise KeyError((source, machine))
-
-
 def run_source_sweep(
     specs: List[str],
     sources: List[str],
@@ -939,99 +833,19 @@ def run_source_sweep(
     backend: str = "auto",
     label: str = "source-sweep",
     progress: Optional[ProgressCallback] = None,
-) -> SourceSweepRun:
+) -> PlanRun:
     """Simulate every machine spec against every trace source, exactly.
 
-    The explorer's verification stage: one sweep group per source (all
-    specs replay the same resolved trace through the fast-path sweep
-    entry point).  Results are looked up in *cache* in the parent first,
-    exactly as in :func:`run_plan`; only sources with a miss are
-    simulated, over a process pool when more than one misses.
-    Results come back in deterministic (source, spec) input order
-    regardless of completion order.  *sources* must be normalised spec
-    strings; *progress* receives one event per completed (source, spec)
-    cell with the source in the ``row`` field.
+    The explorer's verification stage: :func:`run_plan` over
+    :func:`~repro.harness.plans.plan_sources` -- one row per source, one
+    column per spec, one rate cell each -- so all specs replay a
+    source's trace in one fast-path sweep, hits are answered in the
+    parent, and only sources with a miss are simulated.  Read a rate
+    with ``run.table.value(source, spec)``.  *sources* must be
+    normalised spec strings; *progress* events carry the source in the
+    ``row`` field.
     """
-    workers = default_workers() if workers is None else max(1, int(workers))
-    start = time.perf_counter()
-    spec_tuple = tuple(specs)
-
-    total = len(spec_tuple) * len(sources)
-    completed = 0
-
-    def emit(batch: List[SourceOutcome]) -> None:
-        nonlocal completed
-        if progress is None:
-            completed += len(batch)
-            return
-        for outcome in batch:
-            completed += 1
-            progress(ProgressEvent(
-                table_id=label,
-                completed=completed,
-                total=total,
-                index=completed - 1,
-                loop=0,
-                machine=outcome.machine,
-                config=outcome.config,
-                row=outcome.source,
-                seconds=outcome.seconds,
-                result_hit=outcome.result_hit,
-                pid=outcome.pid,
-            ))
-
-    def hit(
-        item: Tuple[str, str],
-        record: Mapping[str, Any],
-        metrics: Dict[str, float],
-        started: float,
-    ) -> SourceOutcome:
-        spec, source = item
-        return SourceOutcome(
-            source=source,
-            machine=spec,
-            config=config,
-            instructions=int(record["instructions"]),
-            cycles=int(record["cycles"]),
-            seconds=time.monotonic() - started,
-            result_hit=True,
-            pid=os.getpid(),
-        )
-
-    by_position: List[List[SourceOutcome]] = []
-    tasks = []
-    task_positions: List[int] = []
-    for position, source in enumerate(sources):
-        hits, misses, _ = _lookup_results(
-            [(spec, source) for spec in spec_tuple],
-            _source_cache(source, cache),
-            lambda item: source_cell_key(item[0], item[1], config),
-            hit,
-        )
-        emit(hits)
-        by_position.append(hits)
-        if misses:
-            task_positions.append(position)
-            tasks.append(dict(
-                specs=tuple(spec for spec, _ in misses),
-                source=source,
-                config_name=config,
-                backend=backend,
-            ))
-
-    def collect(task: int, batch: List[SourceOutcome]) -> None:
-        by_position[task_positions[task]].extend(batch)
-        emit(batch)
-
-    _fan_out(_evaluate_source_group, tasks, cache, workers, collect)
-
-    order = {spec: i for i, spec in enumerate(spec_tuple)}
-    outcomes: List[SourceOutcome] = []
-    for batch in by_position:
-        outcomes.extend(sorted(batch, key=lambda o: order[o.machine]))
-    return SourceSweepRun(
-        outcomes=tuple(outcomes),
-        wall_seconds=time.perf_counter() - start,
-        workers=workers,
-        result_hits=sum(1 for o in outcomes if o.result_hit),
+    return run_plan(
+        plan_sources(specs, sources, config=config, label=label),
+        workers=workers, cache=cache, backend=backend, progress=progress,
     )

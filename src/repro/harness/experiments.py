@@ -1,23 +1,19 @@
-"""Experiment definitions: one function per table in the paper.
+"""Experiments outside the table plans: per-loop rates and Section 3.3.
 
-Each ``tableN()`` function rebuilds the paper's Table N from scratch.
-Since the engine redesign the functions are thin wrappers: they build the
-table's declarative cell decomposition (:mod:`repro.harness.plans`) and
-evaluate it with the in-process engine (:mod:`repro.harness.engine`).
-Parallel and cached evaluation of the same plans is exposed through
-:mod:`repro.api` -- both paths produce bit-identical tables.
+The paper's tables are declarative plans (:mod:`repro.harness.plans`)
+evaluated by the engine: ``run_plan(build_plan("table3", sizes))``, or
+:func:`repro.api.run_table` with caching and parallelism.  This module
+holds the two results that are not tables of the paper: the per-loop
+appendix table and the Section 3.3 quote.
 
-Row and column labels match :mod:`repro.harness.paper` exactly, so
-results can be compared cell-by-cell against the paper's numbers.
-
-All functions accept ``sizes`` (a loop-number -> problem-size mapping) so
-tests can run scaled-down versions; experiments default to the standard
+Both functions accept ``sizes`` (a loop-number -> problem-size mapping)
+so tests can run scaled-down versions; they default to the standard
 sizes in :mod:`repro.kernels.sizes`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 from ..core.buses import BusKind
 from ..core.config import MachineConfig
@@ -26,8 +22,6 @@ from ..kernels import SCALAR_LOOPS, VECTORIZABLE_LOOPS, build_kernel
 from ..limits import compute_limits
 from ..trace import Trace
 from .aggregate import harmonic_mean
-from .engine import run_plan
-from .plans import PLAN_BUILDERS, build_plan
 from .tables import ResultTable
 
 Sizes = Optional[Mapping[int, int]]
@@ -53,84 +47,6 @@ def _class_hmean(simulator, traces, config: MachineConfig) -> float:
     return harmonic_mean(
         simulator.issue_rate(trace, config) for trace in traces
     )
-
-
-def _run(table_id: str, sizes: Sizes, **overrides) -> ResultTable:
-    return run_plan(build_plan(table_id, sizes, **overrides), workers=1).table
-
-
-def table1(sizes: Sizes = None) -> ResultTable:
-    """Issue rates of the four basic single-issue machine organisations."""
-    return _run("table1", sizes)
-
-
-def table2(sizes: Sizes = None) -> ResultTable:
-    """Pseudo-dataflow, resource and actual limits ("Pure" and "Serial")."""
-    return _run("table2", sizes)
-
-
-def table3(sizes: Sizes = None, stations: Sequence[int] = range(1, 9)) -> ResultTable:
-    """Multiple issue units, sequential issue, scalar code."""
-    return _run("table3", sizes, stations=stations)
-
-
-def table4(sizes: Sizes = None, stations: Sequence[int] = range(1, 9)) -> ResultTable:
-    """Multiple issue units, sequential issue, vectorizable code."""
-    return _run("table4", sizes, stations=stations)
-
-
-def table5(sizes: Sizes = None, stations: Sequence[int] = range(1, 9)) -> ResultTable:
-    """Multiple issue units, out-of-order issue, scalar code."""
-    return _run("table5", sizes, stations=stations)
-
-
-def table6(sizes: Sizes = None, stations: Sequence[int] = range(1, 9)) -> ResultTable:
-    """Multiple issue units, out-of-order issue, vectorizable code."""
-    return _run("table6", sizes, stations=stations)
-
-
-def table7(
-    sizes: Sizes = None,
-    ruu_sizes: Sequence[int] = None,
-    units: Sequence[int] = None,
-) -> ResultTable:
-    """Multiple issue units with RUU dependency resolution, scalar code."""
-    overrides = {}
-    if ruu_sizes is not None:
-        overrides["ruu_sizes"] = ruu_sizes
-    if units is not None:
-        overrides["units"] = units
-    return _run("table7", sizes, **overrides)
-
-
-def table8(
-    sizes: Sizes = None,
-    ruu_sizes: Sequence[int] = None,
-    units: Sequence[int] = None,
-) -> ResultTable:
-    """Multiple issue units with RUU dependency resolution, vectorizable code."""
-    overrides = {}
-    if ruu_sizes is not None:
-        overrides["ruu_sizes"] = ruu_sizes
-    if units is not None:
-        overrides["units"] = units
-    return _run("table8", sizes, **overrides)
-
-
-def table9(sizes: Sizes = None) -> ResultTable:
-    """Speculative issue with branch + value prediction, scalar code.
-
-    Not a table from the paper: the limit study the paper motivates.
-    Reports speedup of the speculative family over the contended
-    ``ruu:4:50`` baseline, plus predictor / value-predictor accuracies
-    (see ``docs/speculation.md``).
-    """
-    return _run("table9", sizes)
-
-
-def table10(sizes: Sizes = None) -> ResultTable:
-    """Speculative issue with branch + value prediction, vectorizable code."""
-    return _run("table10", sizes)
 
 
 # ----------------------------------------------------------------------
@@ -202,9 +118,3 @@ def section33(sizes: Sizes = None) -> Dict[str, float]:
         for class_label in ("scalar", "vectorizable")
     }
 
-
-#: Experiment id -> builder, for backward compatibility (the CLI and
-#: benchmarks now go through :mod:`repro.api`, which uses the plans).
-EXPERIMENTS = {
-    table_id: globals()[table_id] for table_id in sorted(PLAN_BUILDERS)
-}

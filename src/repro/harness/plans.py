@@ -5,6 +5,9 @@ per loop drives every machine variant, and each (kernel, machine-spec,
 config) simulation is independent of every other.  A :class:`Cell` names
 one such simulation plus where its value lands in the finished table; an
 :class:`ExperimentPlan` is the full ordered decomposition of one table.
+A cell names its trace by one trace-source spec, so the same cells also
+describe a source sweep (:func:`plan_sources`): any machine spec against
+any trace source, as the design-space explorer's exact stage needs.
 
 The engine (:mod:`repro.harness.engine`) evaluates cells -- serially or
 over a process pool -- and merges them back deterministically: grouped
@@ -14,7 +17,9 @@ bit-identical to serial output.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..kernels import SCALAR_LOOPS, VECTORIZABLE_LOOPS, default_size
@@ -43,13 +48,33 @@ _TABLE1_MACHINES: Tuple[Tuple[str, str], ...] = (
 )
 
 
+#: The kernel trace a table cell replays: ``kernel:<loop>:n=<n>``.
+_KERNEL_SOURCE = re.compile(r"kernel:(\d+):n=(\d+)")
+
+
+def kernel_source(loop: int, n: int) -> str:
+    """The trace-source spec of Livermore loop *loop* at size *n*."""
+    return f"kernel:{loop}:n={n}"
+
+
+@lru_cache(maxsize=1024)
+def kernel_identity(source: str) -> Tuple[int, int]:
+    """``(loop, n)`` of a :func:`kernel_source` spec, ``(0, 0)`` otherwise."""
+    match = _KERNEL_SOURCE.fullmatch(source)
+    if match is None:
+        return 0, 0
+    return int(match.group(1)), int(match.group(2))
+
+
 @dataclass(frozen=True)
 class Cell:
     """One independent unit of experiment work.
 
     Attributes:
-        loop: Livermore loop number.
-        n: resolved problem size (never None -- keys must be stable).
+        source: normalised trace-source spec of the trace the cell
+            replays -- ``kernel:<loop>:n=<n>`` (:func:`kernel_source`,
+            problem size resolved so keys are stable) for the paper's
+            tables, any other spec for a source sweep.
         machine: simulator registry spec, or :data:`LIMITS_MACHINE`.
         config: machine configuration name (``"M11BR5"`` ...).
         row: row label the cell's value(s) contribute to.
@@ -64,14 +89,23 @@ class Cell:
             stored record.
     """
 
-    loop: int
-    n: int
+    source: str
     machine: str
     config: str
     row: str
     columns: Tuple[str, ...]
     serial: bool = False
     metric: str = "rate"
+
+    @property
+    def loop(self) -> int:
+        """Livermore loop number of a kernel cell (0 for other sources)."""
+        return kernel_identity(self.source)[0]
+
+    @property
+    def n(self) -> int:
+        """Problem size of a kernel cell (0 for other sources)."""
+        return kernel_identity(self.source)[1]
 
     @property
     def is_limits(self) -> bool:
@@ -122,8 +156,7 @@ def plan_table1(sizes: Sizes = None) -> ExperimentPlan:
             for config in CONFIG_NAMES:
                 for loop in loops:
                     cells.append(Cell(
-                        loop=loop,
-                        n=_size(loop, sizes),
+                        source=kernel_source(loop, _size(loop, sizes)),
                         machine=spec,
                         config=config,
                         row=row,
@@ -152,8 +185,7 @@ def plan_table2(sizes: Sizes = None) -> ExperimentPlan:
                 rows.append(row)
                 for loop in loops:
                     cells.append(Cell(
-                        loop=loop,
-                        n=_size(loop, sizes),
+                        source=kernel_source(loop, _size(loop, sizes)),
                         machine=LIMITS_MACHINE,
                         config=config,
                         row=row,
@@ -191,8 +223,7 @@ def _plan_multi_issue(
                 spec = f"{spec_head}:{n_stations}:{_BUS_TOKENS[bus_label]}"
                 for loop in loops:
                     cells.append(Cell(
-                        loop=loop,
-                        n=_size(loop, sizes),
+                        source=kernel_source(loop, _size(loop, sizes)),
                         machine=spec,
                         config=config,
                         row=row,
@@ -268,8 +299,7 @@ def _plan_ruu(
                     spec = f"ruu:{u}:{size}:{_BUS_TOKENS[bus_label]}"
                     for loop in loops:
                         cells.append(Cell(
-                            loop=loop,
-                            n=_size(loop, sizes),
+                            source=kernel_source(loop, _size(loop, sizes)),
                             machine=spec,
                             config=config,
                             row=row,
@@ -337,8 +367,7 @@ def _plan_spec_study(
         for column, machine, metric in _SPEC_STUDY_COLUMNS:
             for loop in loops:
                 cells.append(Cell(
-                    loop=loop,
-                    n=_size(loop, sizes),
+                    source=kernel_source(loop, _size(loop, sizes)),
                     machine=machine,
                     config=config,
                     row=config,
@@ -404,3 +433,38 @@ def build_plan(table_id: str, sizes: Sizes = None, **overrides) -> ExperimentPla
             f"unknown experiment {table_id!r}; known: {sorted(PLAN_BUILDERS)}"
         ) from None
     return builder(sizes, **overrides)
+
+
+def plan_sources(
+    specs: Sequence[str],
+    sources: Sequence[str],
+    *,
+    config: str = "M11BR5",
+    label: str = "source-sweep",
+) -> ExperimentPlan:
+    """Every machine spec against every trace source: one rate cell each.
+
+    Rows are the *sources* (normalised trace-source specs), columns the
+    *specs*, duplicates dropped from both; ``table.value(source, spec)``
+    of the evaluated plan is that pair's issue rate.
+    """
+    columns = tuple(dict.fromkeys(specs))
+    rows = tuple(dict.fromkeys(sources))
+    cells = tuple(
+        Cell(
+            source=source,
+            machine=spec,
+            config=config,
+            row=source,
+            columns=(spec,),
+        )
+        for source in rows
+        for spec in columns
+    )
+    return ExperimentPlan(
+        table_id=label,
+        title=f"{label}: issue rates by trace source and machine",
+        columns=columns,
+        rows=rows,
+        cells=cells,
+    )

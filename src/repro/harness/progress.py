@@ -32,7 +32,8 @@ class ProgressEvent:
         completed: cells finished so far (this one included).
         total: cells in the plan.
         index: the cell's position in plan order.
-        loop: Livermore loop number of the cell's trace.
+        loop: Livermore loop number of the cell's trace (0 when the
+            trace source is not a kernel).
         machine: registry spec of the machine (``""`` for limits cells).
         config: machine-configuration name (``"M11BR5"`` etc.).
         row: the table row this cell feeds.

@@ -14,7 +14,7 @@ from .importer import (
     export_trace,
     import_trace,
 )
-from .io import TraceFormatError, read_trace, write_trace
+from .io import TraceFormatError, write_trace
 from .record import Trace, TraceEntry
 from .sources import (
     FAMILY_ENVELOPES,
@@ -63,7 +63,6 @@ __all__ = [
     "import_trace",
     "list_sources",
     "parse_trace_spec",
-    "read_trace",
     "register_source",
     "source_names",
     "source_statistics",

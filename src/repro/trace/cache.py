@@ -5,7 +5,9 @@ A kernel's dynamic trace depends only on the kernel and its problem size --
 are all timing-level concerns).  The paper exploits the same property: one
 trace per benchmark drives every machine variant.  Caching traces therefore
 makes whole-table experiments dramatically cheaper without changing any
-result.
+result.  :data:`GLOBAL_TRACE_CACHE` is the process's one trace memo: kernel
+builds key it by kernel identity, the experiment engine by normalised
+trace-source spec.
 """
 
 from __future__ import annotations
@@ -51,5 +53,5 @@ class TraceCache:
             return len(self._traces)
 
 
-#: Process-wide cache used by :mod:`repro.kernels` helpers and the harness.
+#: Process-wide trace memo used by :mod:`repro.kernels` and the engine.
 GLOBAL_TRACE_CACHE = TraceCache()

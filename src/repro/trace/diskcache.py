@@ -1,16 +1,17 @@
 """Persistent content-addressed store for traces and per-cell results.
 
-The in-process :class:`~repro.trace.cache.TraceCache` forgets everything
-between runs; this module makes the paper's capture-once/replay-many split
-durable.  Entries are keyed by a SHA-256 hash over a canonical JSON
-encoding of the identifying parameters (kernel id, problem size, unroll
-factor, schedule flags, machine spec, machine config, ...), so a key can
-never collide across semantically different cells and never misses across
-semantically identical ones.
+The process-wide trace memo (:data:`~repro.trace.GLOBAL_TRACE_CACHE`)
+forgets everything between runs; this module makes the paper's
+capture-once/replay-many split durable.  Entries are keyed by a SHA-256
+hash over a canonical JSON encoding of the identifying parameters
+(kernel id, problem size, unroll factor, schedule flags, machine spec,
+machine config, ...), so a key can never collide across semantically
+different cells and never misses across semantically identical ones.
 
 Layout (under ``$REPRO_CACHE_DIR``, default ``~/.cache/repro``)::
 
-    traces/<sha256>.jsonl    -- JSON-lines trace archives (repro.trace.io)
+    traces/<sha256>.jsonl    -- JSON-lines kernel trace archives, written by
+                                repro.trace.io, read by repro.trace.importer
     results/<sha256>.jsonl   -- one header line + one result record
 
 Every read is fail-soft: a missing, truncated, or otherwise corrupted
@@ -30,7 +31,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
 
-from .io import read_trace, write_trace
+from .importer import import_trace
+from .io import write_trace
 from .record import Trace
 
 logger = logging.getLogger(__name__)
@@ -114,7 +116,10 @@ class DiskCache:
         """The stored trace for this key, or None on miss/corruption."""
         path = self.trace_path(key_parts)
         try:
-            trace = read_trace(path)
+            # Opened here, not by import_trace, which would fold a
+            # missing file (a plain miss) into a TraceImportError.
+            with open(path) as handle:
+                trace = import_trace(handle, name=str(path))
         except FileNotFoundError:
             self.trace_misses += 1
             return None

@@ -1,13 +1,13 @@
-"""External trace import: strict, diagnosable JSONL archive loading.
+"""Trace archive import: strict, diagnosable JSONL archive loading.
 
-:mod:`repro.trace.io` defines the archive format (one JSON object per
-line: a header record, then one record per dynamic instruction) and a
-reader tuned for archives the repo wrote itself.  This module is the
-*border checkpoint* for third-party traces -- the ``file:`` head of the
-trace-source registry: the same schema, but validated line by line so a
-malformed archive fails with one precise ``path:line: message``
-diagnostic (:class:`TraceImportError`) instead of a stack trace from
-deep inside trace construction.
+:mod:`repro.trace.io` defines and writes the archive format (one JSON
+object per line: a header record, then one record per dynamic
+instruction).  This module is its one reader: the ``file:`` head of the
+trace-source registry and the trace archives of
+:class:`~repro.trace.DiskCache` both come through it, validated line by
+line so a malformed archive fails with one precise ``path:line:
+message`` diagnostic (:class:`TraceImportError`) instead of a stack
+trace from deep inside trace construction.
 
 The schema is versioned (``FORMAT_VERSION`` in the header) and
 documented with a worked example in ``docs/traces.md``.  Imported traces
@@ -205,7 +205,8 @@ def _check_entry(
     try:
         return _entry_from_record(seq, record)
     except TraceFormatError as exc:
-        # io's reader prefixes "record N:"; strip it for the path:line form.
+        # io's record decoder prefixes "record N:"; strip it for the
+        # path:line form.
         reason = str(exc)
         prefix = f"record {seq}: "
         if reason.startswith(prefix):

@@ -4,7 +4,9 @@ The paper's workflow separates trace capture from timing simulation;
 persisting traces makes that split concrete -- capture once (slow,
 verifies the kernel), replay through any number of machine models later
 or on another machine.  The format is one JSON object per line: a header
-record followed by one record per dynamic instruction.
+record followed by one record per dynamic instruction.  This module
+writes archives; every archive, internal or external, is read back by
+the strict :func:`repro.trace.importer.import_trace`.
 
 Example::
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, Iterable, List, Union
+from typing import IO, Union
 
 from ..isa import Instruction, Opcode, Operand, Register, parse_register
 from .record import Trace, TraceEntry
@@ -110,39 +112,3 @@ def write_trace(trace: Trace, destination: PathOrFile) -> None:
     destination.write(json.dumps(header) + "\n")
     for entry in trace:
         destination.write(json.dumps(_entry_record(entry)) + "\n")
-
-
-def read_trace(source: PathOrFile) -> Trace:
-    """Read a JSON-lines trace archive back into a :class:`Trace`."""
-    if isinstance(source, (str, Path)):
-        with open(source) as handle:
-            return read_trace(handle)
-
-    lines = [line for line in source if line.strip()]
-    if not lines:
-        raise TraceFormatError("empty trace archive")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError("malformed header line") from exc
-    if header.get("kind") != "header":
-        raise TraceFormatError("archive does not start with a header record")
-    if header.get("version") != FORMAT_VERSION:
-        raise TraceFormatError(
-            f"unsupported trace format version {header.get('version')!r}"
-        )
-
-    entries: List[TraceEntry] = []
-    for seq, line in enumerate(lines[1:]):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"malformed record {seq}") from exc
-        entries.append(_entry_from_record(seq, record))
-
-    declared = header.get("entries")
-    if declared is not None and declared != len(entries):
-        raise TraceFormatError(
-            f"header declares {declared} entries, archive has {len(entries)}"
-        )
-    return Trace(name=header.get("name", "archived"), entries=tuple(entries))

@@ -22,7 +22,7 @@ from repro.harness.aggregate import (
     relative_error,
 )
 from repro.harness.engine import CellOutcome, merge_outcomes
-from repro.harness.plans import Cell, ExperimentPlan
+from repro.harness.plans import Cell, ExperimentPlan, kernel_source
 
 
 class TestHarmonicMean:
@@ -115,8 +115,7 @@ def _plan_and_outcomes():
         for loop in (1, 2, 3):
             cells.append(
                 Cell(
-                    loop=loop,
-                    n=8,
+                    source=kernel_source(loop, 8),
                     machine="cray",
                     config="M11BR5",
                     row=row,
@@ -182,8 +181,7 @@ class TestMergeOutcomes:
             rows=("only",),
             cells=(
                 Cell(
-                    loop=5,
-                    n=8,
+                    source=kernel_source(5, 8),
                     machine="cray",
                     config="M11BR5",
                     row="only",

@@ -35,13 +35,14 @@ class TestRunTable:
         assert "relative deviation" in report
 
     def test_matches_legacy_experiment_function(self, small_sizes):
-        from repro.harness import table3
+        from repro.harness import build_plan, run_plan
 
         run = api.run_table(
             "table3", sizes=small_sizes, workers=1, cache=False,
             stations=(1, 2),
         )
-        assert run.table.rows == table3(small_sizes, stations=(1, 2)).rows
+        plan = build_plan("table3", small_sizes, stations=(1, 2))
+        assert run.table.rows == run_plan(plan, workers=1).table.rows
 
     def test_unknown_table(self):
         with pytest.raises(KeyError):

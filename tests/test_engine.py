@@ -20,12 +20,12 @@ from repro.harness import engine
 from repro.harness.engine import (
     cell_key,
     clear_process_memo,
-    evaluate_cell,
+    evaluate_sweep,
     run_plan,
     trace_key,
 )
-from repro.harness.plans import build_plan
-from repro.trace import DiskCache
+from repro.harness.plans import Cell, build_plan
+from repro.trace import DiskCache, content_key
 
 
 @pytest.fixture(autouse=True)
@@ -56,6 +56,40 @@ class TestPlans:
         inorder = next(c for c in t3.cells if c.machine == "inorder:1:nbus")
         assert cell_key(cray) != cell_key(inorder)
         assert trace_key(cray.loop, cray.n) == trace_key(cray.loop, cray.n)
+
+
+class TestStoreKeys:
+    """Cell keys hash to the digests existing stores were filled under,
+    so a change to how cells are named never turns a store cold."""
+
+    def _digest(self, source, machine, config="M11BR5", serial=False):
+        cell = Cell(
+            source=source, machine=machine, config=config, row="r",
+            columns=("c",), serial=serial,
+        )
+        return content_key(cell_key(cell))
+
+    def test_kernel_rate_cell(self):
+        assert self._digest("kernel:5:n=32", "ruu:4:50") == (
+            "994dfb7498aaa0b02eda7eeb96719076cda5b021602a44afa6681d3eb75cfb61"
+        )
+
+    def test_limits_cell(self):
+        assert self._digest(
+            "kernel:5:n=32", "limits", config="M5BR2", serial=True
+        ) == (
+            "b543417d6145ec42f21f0609c5a92f1ccf557052f8a89405584743eac76cfc3e"
+        )
+
+    def test_source_cell(self):
+        assert self._digest("branchy:seed=3:n=200", "ooo:2") == (
+            "d1a3650125267e1c339fa9c058ec8a4f2b1d51ab67377620d854152d4923e659"
+        )
+
+    def test_trace_key(self):
+        assert content_key(trace_key(5, 32)) == (
+            "aacde8284774dbea2aa39e52a6b8b164fe4fa95f9a7398d70e08f288c87ae53d"
+        )
 
 
 class TestDeterminism:
@@ -139,7 +173,7 @@ class TestDiskCacheRoundTrip:
     def test_cache_stores_loadable_traces(self, small_sizes):
         plan = build_plan("table1", small_sizes)
         store = DiskCache()
-        evaluate_cell(0, plan.cells[0], store)
+        evaluate_sweep([(0, plan.cells[0])], store)
         cell = plan.cells[0]
         trace = store.load_trace(trace_key(cell.loop, cell.n))
         assert trace is not None

@@ -10,42 +10,44 @@ import pytest
 
 from repro.harness import (
     PAPER_TABLES,
+    build_plan,
     compare_tables,
+    run_plan,
     section33,
-    table1,
-    table2,
-    table3,
-    table5,
-    table7,
-    table8,
 )
 
 CONFIG_NAMES = ("M11BR5", "M11BR2", "M5BR5", "M5BR2")
 
 
+def _table(table_id, sizes, **overrides):
+    return run_plan(build_plan(table_id, sizes, **overrides), workers=1).table
+
+
 @pytest.fixture(scope="module")
 def t1(small_sizes):
-    return table1(small_sizes)
+    return _table("table1", small_sizes)
 
 
 @pytest.fixture(scope="module")
 def t2(small_sizes):
-    return table2(small_sizes)
+    return _table("table2", small_sizes)
 
 
 @pytest.fixture(scope="module")
 def t3(small_sizes):
-    return table3(small_sizes, stations=(1, 2, 4, 8))
+    return _table("table3", small_sizes, stations=(1, 2, 4, 8))
 
 
 @pytest.fixture(scope="module")
 def t5(small_sizes):
-    return table5(small_sizes, stations=(1, 2, 4, 8))
+    return _table("table5", small_sizes, stations=(1, 2, 4, 8))
 
 
 @pytest.fixture(scope="module")
 def t7(small_sizes):
-    return table7(small_sizes, ruu_sizes=(10, 20, 50), units=(1, 2, 4))
+    return _table(
+        "table7", small_sizes, ruu_sizes=(10, 20, 50), units=(1, 2, 4)
+    )
 
 
 class TestTable1Shape:

@@ -35,22 +35,16 @@ class TestRunSourceSweep:
     def test_workers_do_not_change_results(self):
         serial = run_source_sweep(SPECS, SOURCES, workers=1)
         parallel = run_source_sweep(SPECS, SOURCES, workers=2)
-        key = lambda o: (o.source, o.machine, o.instructions, o.cycles)
-        assert [key(o) for o in serial.outcomes] == [
-            key(o) for o in parallel.outcomes
-        ]
-        assert parallel.workers == 2
+        assert serial.table.rows == parallel.table.rows
+        assert parallel.stats.workers == 2
 
     def test_result_cache_hits_on_rerun(self, tmp_path):
         cache = DiskCache(tmp_path / "cache")
         cold = run_source_sweep(SPECS, SOURCES, workers=1, cache=cache)
         warm = run_source_sweep(SPECS, SOURCES, workers=1, cache=cache)
-        assert cold.result_hits == 0
-        assert warm.result_hits == len(SPECS) * len(SOURCES)
-        key = lambda o: (o.source, o.machine, o.cycles)
-        assert [key(o) for o in cold.outcomes] == [
-            key(o) for o in warm.outcomes
-        ]
+        assert cold.stats.result_hits == 0
+        assert warm.stats.result_hits == len(SPECS) * len(SOURCES)
+        assert warm.table.rows == cold.table.rows
 
     def test_warm_rerun_starts_no_pool(self, tmp_path, monkeypatch):
         cache = DiskCache(tmp_path / "cache")
@@ -61,12 +55,9 @@ class TestRunSourceSweep:
 
         monkeypatch.setattr(engine, "ProcessPoolExecutor", refuse)
         warm = run_source_sweep(SPECS, SOURCES, workers=2, cache=cache)
-        assert warm.result_hits == len(SPECS) * len(SOURCES)
-        key = lambda o: (o.source, o.machine, o.instructions, o.cycles)
-        assert [key(o) for o in warm.outcomes] == [
-            key(o) for o in cold.outcomes
-        ]
-        assert {o.pid for o in warm.outcomes} == {os.getpid()}
+        assert warm.stats.result_hits == len(SPECS) * len(SOURCES)
+        assert warm.table.rows == cold.table.rows
+        assert list(warm.stats.worker_utilization) == [os.getpid()]
 
     def test_file_source_is_never_stored(self, tmp_path):
         archive = tmp_path / "t.jsonl"
@@ -78,21 +69,60 @@ class TestRunSourceSweep:
         assert len(stored) == len(SPECS)
 
         warm = run_source_sweep(SPECS, sources, workers=2, cache=cache)
-        assert [o.result_hit for o in warm.outcomes] == (
-            [False] * len(SPECS) + [True] * len(SPECS)
-        )
+        # Only the generated source's cells are looked up, and all hit.
+        assert warm.stats.result_hits == len(SPECS)
+        counters = warm.stats.metrics["counters"]
+        assert counters["cache.result.hits"] == len(SPECS)
+        assert "cache.result.misses" not in counters
         assert sorted((cache.root / "results").glob("*.jsonl")) == stored
-        key = lambda o: (o.source, o.machine, o.cycles)
-        assert [key(o) for o in warm.outcomes] == [
-            key(o) for o in cold.outcomes
-        ]
+        assert warm.table.rows == cold.table.rows
+
+    def test_rewritten_file_archive_is_replayed_fresh(self, tmp_path):
+        archive = tmp_path / "t.jsonl"
+        source = f"file:{archive}"
+        api.capture_source("fuzz:seed=3:len=48", str(archive))
+        first = run_source_sweep(["ooo:2"], [source], workers=1)
+        api.capture_source("fuzz:seed=9:len=200", str(archive))
+        second = run_source_sweep(["ooo:2"], [source], workers=1)
+        fresh = api.simulate_source(source, "ooo:2")
+        assert fresh.instructions == 200
+        assert second.table.value(source, "ooo:2") == (
+            fresh.instructions / fresh.cycles
+        )
+        assert second.table.value(source, "ooo:2") != first.table.value(
+            source, "ooo:2"
+        )
+
+    def test_rates_equal_simulate_source(self):
+        run = run_source_sweep(SPECS, SOURCES, workers=1)
+        for source in SOURCES:
+            for spec in SPECS:
+                result = api.simulate_source(source, spec)
+                assert run.table.value(source, spec) == (
+                    result.instructions / result.cycles
+                )
+
+    def test_progress_stream(self):
+        events = []
+        run_source_sweep(
+            SPECS, SOURCES, workers=2, label="probe", progress=events.append
+        )
+        total = len(SPECS) * len(SOURCES)
+        assert len(events) == total
+        assert events[-1].completed == events[-1].total == total
+        assert sorted(e.index for e in events) == list(range(total))
+        assert {(e.row, e.machine) for e in events} == {
+            (source, spec) for source in SOURCES for spec in SPECS
+        }
+        assert all(e.loop == 0 and e.table_id == "probe" for e in events)
 
     def test_rate_lookup(self):
         run = run_source_sweep(SPECS, SOURCES, workers=1)
-        outcome = run.outcomes[0]
-        assert run.rate(outcome.source, outcome.machine) == pytest.approx(
-            outcome.rate
-        )
+        assert run.table.row_labels == tuple(SOURCES)
+        assert run.table.columns == tuple(SPECS)
+        assert run.table.value(SOURCES[0], SPECS[0]) > 0
+        with pytest.raises(KeyError):
+            run.table.value("branchy:seed=4:n=200", SPECS[0])
 
 
 class TestSimulateSpecs:
@@ -100,13 +130,9 @@ class TestSimulateSpecs:
         rates, run = simulate_specs(SPECS, SOURCES, workers=1)
         for spec in SPECS:
             inverse = sum(
-                1.0 / run.rate(source, spec) for source in run_sources(run)
+                1.0 / run.table.value(source, spec) for source in SOURCES
             )
             assert rates[spec] == pytest.approx(len(SOURCES) / inverse)
-
-
-def run_sources(run):
-    return sorted({outcome.source for outcome in run.outcomes})
 
 
 class TestErrorStats:

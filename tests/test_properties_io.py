@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.asm import Memory, ProgramBuilder, parse_program, run
 from repro.core import M11BR5, cray_like_machine
 from repro.isa import A, S, V
-from repro.trace import generate_trace, read_trace, write_trace
+from repro.trace import generate_trace, import_trace, write_trace
 from repro.workloads import SyntheticSpec, build_synthetic, synthetic_memory
 
 
@@ -38,7 +38,7 @@ def test_trace_io_round_trip_preserves_timing(spec):
     buffer = io.StringIO()
     write_trace(trace, buffer)
     buffer.seek(0)
-    loaded = read_trace(buffer)
+    loaded = import_trace(buffer)
     sim = cray_like_machine()
     assert (
         sim.simulate(loaded, M11BR5).cycles

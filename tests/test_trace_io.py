@@ -1,4 +1,4 @@
-"""Tests for trace serialisation (JSON-lines archives)."""
+"""Tests for trace serialisation: write_trace archives read back by import_trace."""
 
 import io
 import json
@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import M11BR5, cray_like_machine
 from repro.kernels import build_kernel
-from repro.trace import TraceFormatError, read_trace, write_trace
+from repro.trace import TraceFormatError, import_trace, write_trace
 
 from helpers import fadd, jan, loads, make_trace, si, stores
 
@@ -16,7 +16,7 @@ def round_trip(trace):
     buffer = io.StringIO()
     write_trace(trace, buffer)
     buffer.seek(0)
-    return read_trace(buffer)
+    return import_trace(buffer)
 
 
 class TestRoundTrip:
@@ -48,7 +48,7 @@ class TestRoundTrip:
         trace = make_trace([si(1), fadd(2, 1, 1)])
         path = tmp_path / "trace.jsonl"
         write_trace(trace, path)
-        loaded = read_trace(str(path))
+        loaded = import_trace(str(path))
         assert len(loaded) == 2
 
     def test_comments_preserved(self):
@@ -62,23 +62,23 @@ class TestRoundTrip:
 class TestFormatErrors:
     def test_empty_archive(self):
         with pytest.raises(TraceFormatError, match="empty"):
-            read_trace(io.StringIO(""))
+            import_trace(io.StringIO(""))
 
     def test_missing_header(self):
         with pytest.raises(TraceFormatError, match="header"):
-            read_trace(io.StringIO('{"op": "PASS"}\n'))
+            import_trace(io.StringIO('{"op": "PASS"}\n'))
 
     def test_bad_version(self):
         header = json.dumps({"kind": "header", "name": "x", "version": 99})
         with pytest.raises(TraceFormatError, match="version"):
-            read_trace(io.StringIO(header + "\n"))
+            import_trace(io.StringIO(header + "\n"))
 
     def test_malformed_json(self):
         header = json.dumps(
             {"kind": "header", "name": "x", "version": 1, "entries": 1}
         )
-        with pytest.raises(TraceFormatError, match="malformed record"):
-            read_trace(io.StringIO(header + "\n{nope\n"))
+        with pytest.raises(TraceFormatError, match="not valid JSON"):
+            import_trace(io.StringIO(header + "\n{nope\n"))
 
     def test_bad_opcode(self):
         header = json.dumps(
@@ -86,7 +86,7 @@ class TestFormatErrors:
         )
         body = json.dumps({"op": "FROB"})
         with pytest.raises(TraceFormatError, match="bad opcode"):
-            read_trace(io.StringIO(header + "\n" + body + "\n"))
+            import_trace(io.StringIO(header + "\n" + body + "\n"))
 
     def test_entry_count_mismatch(self):
         header = json.dumps(
@@ -94,7 +94,7 @@ class TestFormatErrors:
         )
         body = json.dumps({"op": "PASS"})
         with pytest.raises(TraceFormatError, match="declares 5"):
-            read_trace(io.StringIO(header + "\n" + body + "\n"))
+            import_trace(io.StringIO(header + "\n" + body + "\n"))
 
     def test_bad_operand(self):
         header = json.dumps(
@@ -102,4 +102,4 @@ class TestFormatErrors:
         )
         body = json.dumps({"op": "AI", "dest": "A1", "srcs": [None]})
         with pytest.raises(TraceFormatError, match="bad operand"):
-            read_trace(io.StringIO(header + "\n" + body + "\n"))
+            import_trace(io.StringIO(header + "\n" + body + "\n"))

@@ -12,7 +12,7 @@ import pytest
 
 import repro.cli as cli
 import repro.verify.runner as runner_module
-from repro.trace import read_trace
+from repro.trace import import_trace
 from repro.verify import (
     InvariantViolation,
     VerifyOptions,
@@ -209,7 +209,7 @@ class TestRunner:
         assert failure.trace.entries[0].instruction.accesses_memory
         assert failure.repro_path is not None
         assert failure.repro_path.exists()
-        replayed = read_trace(failure.repro_path)
+        replayed = import_trace(failure.repro_path)
         assert len(replayed) == 1
         assert any("shrunk" in message for message in messages)
         assert str(failure.repro_path) in str(failure)
